@@ -41,14 +41,7 @@ pub const MANIFEST_VERSION: u64 = 1;
 
 /// 64-bit FNV-1a — the fingerprint/seed hash used across the sweep
 /// supervisor (stable, dependency-free, not cryptographic).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use snake_sim::snapshot::fnv1a64;
 
 /// The manifest's first line.
 #[derive(Debug, Clone, PartialEq, Eq)]

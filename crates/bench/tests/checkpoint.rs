@@ -6,7 +6,7 @@
 
 use snake_bench::Harness;
 use snake_core::PrefetcherKind;
-use snake_sim::snapshot::Checkpoint;
+use snake_sim::snapshot::{fnv1a64, Checkpoint};
 use snake_sim::{json, Gpu};
 use snake_workloads::Benchmark;
 
@@ -42,8 +42,8 @@ fn kill_anywhere_restore_is_byte_identical() {
 
                 // Round-trip the checkpoint through its text encoding,
                 // as a crash + reload would.
-                let text = victim.checkpoint().to_json().to_string();
-                let ckpt = Checkpoint::from_json(&json::parse(&text).unwrap()).unwrap();
+                let text = victim.checkpoint().render();
+                let ckpt = Checkpoint::from_json(json::parse(&text).unwrap()).unwrap();
 
                 let mut resumed = gpu(&h, bench, kind);
                 resumed.restore(&ckpt).unwrap();
@@ -107,4 +107,40 @@ fn periodic_checkpointing_does_not_perturb_the_run() {
     resumed.restore(&ckpt).unwrap();
     assert_eq!(format!("{:?}", resumed.run()), reference);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Pins the exact checkpoint bytes: a fixed standard-harness job
+/// stopped at a fixed cycle must keep its fingerprint and the hash of
+/// the document `write_atomic` produces. Any codec change that alters
+/// a single byte of a checkpoint (or the fingerprint's input) fails
+/// here, so artifacts written by older binaries stay loadable.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    const FINGERPRINT: u64 = 0xf90c_28f2_5ee0_02cb;
+    const DOCUMENT_FNV: u64 = 0x32c1_4722_bf17_e4c0;
+    const STOP_CYCLE: u64 = 3_000;
+
+    let h = Harness::standard();
+    let mut g = gpu(&h, Benchmark::Mum, PrefetcherKind::Snake);
+    assert!(g.run_interruptible(|c| c.0 >= STOP_CYCLE).is_none());
+    let ckpt = g.checkpoint();
+
+    let dir = std::env::temp_dir().join(format!("snake-ckpt-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pinned.ckpt");
+    let written = ckpt.write_atomic(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let reloaded = Checkpoint::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(written, bytes.len() as u64);
+    assert_eq!(reloaded, ckpt);
+    assert_eq!(format!("{}\n", reloaded.render()).as_bytes(), bytes);
+    let document_fnv = fnv1a64(&bytes);
+    assert_eq!(
+        (ckpt.fingerprint, document_fnv),
+        (FINGERPRINT, DOCUMENT_FNV),
+        "fingerprint {:#018x}, document fnv {document_fnv:#018x}",
+        ckpt.fingerprint
+    );
 }

@@ -180,6 +180,13 @@ fn lease_killed_job_resumes_from_checkpoint_byte_identically() {
     // A tight cadence so the child is guaranteed a durable checkpoint
     // within the lease.
     h.cfg.checkpoint_every = Some(200);
+    // The child must still be running when the lease expires, however
+    // fast the host: a 100 µs host stall per simulated cycle stretches
+    // the ~30k-cycle job to ~3 s of wall time without changing any
+    // simulated state (the checkpoint fingerprint ignores the stall,
+    // so the resumes below run at full speed).
+    let mut slow = h.clone();
+    slow.cfg.perf_inject_stall_ns = 100_000;
     let job = &campaign(&[Benchmark::Lps], &[PrefetcherKind::Snake])[0];
 
     let exec = JobExecutor::sandbox_with_worker(
@@ -195,7 +202,7 @@ fn lease_killed_job_resumes_from_checkpoint_byte_identically() {
         ..ExecContext::default()
     };
     let run = exec
-        .run(&h, job, &ctx, &mut |_, _| checkpoints += 1)
+        .run(&slow, job, &ctx, &mut |_, _| checkpoints += 1)
         .expect("a checkpointed lease kill is a suspension, not a crash");
     let cycle = match run {
         JobRun::Suspended { cycle, .. } => cycle,

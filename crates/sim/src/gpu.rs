@@ -2,7 +2,9 @@
 //! partition, advanced by a single cycle loop.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::audit::{self, Auditor};
 use crate::config::{ConfigError, GpuConfig};
@@ -18,7 +20,7 @@ use crate::obs::{
 use crate::perfstat::{HostProfile, HostProfiler, Phase, Stopwatch};
 use crate::prefetch::Prefetcher;
 use crate::sm::{PendingCta, Sm};
-use crate::snapshot::{self, Checkpoint, SnapshotError};
+use crate::snapshot::{self, Checkpoint, Fnv1a64, SnapshotError};
 use crate::stats::SimStats;
 use crate::types::{Cycle, SmId};
 use crate::watchdog::{DeadlockReport, NocCensus, Watchdog};
@@ -127,6 +129,10 @@ pub struct Gpu {
     /// a counter bump — see the no-observer-effect guarantee on
     /// [`crate::obs::ring`].
     tap: Option<TelemetryRing>,
+    /// [`Gpu::fingerprint`], computed on first use: its inputs are
+    /// fixed at construction, and hashing the kernel trace is the bulk
+    /// of a checkpoint's cost on a large device.
+    fingerprint: OnceLock<u64>,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -235,6 +241,7 @@ impl Gpu {
             prof,
             events_flushed: 0,
             tap: None,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -776,17 +783,22 @@ impl Gpu {
     /// the kernel trace, and the per-SM mechanism names. Two devices
     /// with equal fingerprints step identically, so state captured on
     /// one restores exactly onto the other.
+    ///
+    /// The hash is streamed over the `Debug` text of the inputs (never
+    /// materialized) and memoized per device.
     pub fn fingerprint(&self) -> u64 {
-        let mut cfg = self.cfg.clone();
-        cfg.checkpoint_every = None;
-        cfg.host_profile = false;
-        cfg.perf_inject_stall_ns = 0;
-        let mut text = format!("{cfg:?}|{:?}", self.kernel);
-        for sm in &self.sms {
-            text.push('|');
-            text.push_str(sm.prefetcher_name());
-        }
-        snapshot::fnv1a64(text.as_bytes())
+        *self.fingerprint.get_or_init(|| {
+            let mut cfg = self.cfg.clone();
+            cfg.checkpoint_every = None;
+            cfg.host_profile = false;
+            cfg.perf_inject_stall_ns = 0;
+            let mut h = Fnv1a64::default();
+            write!(h, "{cfg:?}|{:?}", self.kernel).expect("hashing cannot fail");
+            for sm in &self.sms {
+                write!(h, "|{}", sm.prefetcher_name()).expect("hashing cannot fail");
+            }
+            h.finish()
+        })
     }
 
     /// Captures the complete mutable simulator state as a checkpoint

@@ -6,16 +6,19 @@
 //! is the smallest JSON that round-trips the workspace's report types
 //! **exactly**:
 //!
-//! * numbers keep their source lexeme (`Value::Num` stores the raw
-//!   token), so `u64` cycle counts survive beyond 2^53 and `f64`s
-//!   written with Rust's shortest round-trip formatting re-parse to
-//!   the identical bits — the property the byte-identical
-//!   checkpoint/resume guarantee rests on;
+//! * numbers are stored inline ([`Num`]): `u64` cycle counts stay
+//!   exact beyond 2^53, negative integers are `i64`s, and `f64`s
+//!   render with Rust's shortest round-trip formatting, so they
+//!   re-parse to the identical bits — the property the byte-identical
+//!   checkpoint/resume guarantee rests on. The parser picks an inline
+//!   form only when rendering it reproduces the input lexeme exactly;
+//!   any other lexeme (`1e5`, `01`, `1.50`) is kept verbatim, so
+//!   write → parse → write is byte-stable for every accepted input;
 //! * object entries preserve insertion order, so a written manifest
 //!   line is byte-stable across write → parse → write.
 //!
 //! The parser accepts the non-standard lexemes `NaN`, `inf`, and
-//! `-inf` because that is how [`fmt_f64`] (and Rust's `{:?}`) spells
+//! `-inf` because that is how [`Value::f64`] (and Rust's `{:?}`) spells
 //! non-finite floats; we only ever parse our own output.
 
 use std::fmt;
@@ -27,8 +30,8 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as its raw lexeme for lossless round-trips.
-    Num(String),
+    /// A number (see [`Num`] for the lossless round-trip rules).
+    Num(Num),
     /// A string (unescaped).
     Str(String),
     /// An array.
@@ -62,40 +65,39 @@ impl Value {
         }
     }
 
-    /// The number parsed as `u64`, if this is an unsigned integer.
+    /// The number as `u64`, if this is an unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) => n.parse().ok(),
+            Value::Num(Num::U(n)) => Some(*n),
+            Value::Num(Num::Lex(s)) => s.parse().ok(),
             _ => None,
         }
     }
 
-    /// The number parsed as `u32`, if it fits.
+    /// The number as `u32`, if it is an unsigned integer that fits.
     pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            Value::Num(n) => n.parse().ok(),
-            _ => None,
-        }
+        self.as_u64()?.try_into().ok()
     }
 
-    /// The number parsed as `i64`, if this is a (possibly negative)
-    /// integer.
+    /// The number as `i64`, if this is a (possibly negative) integer
+    /// that fits.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::Num(n) => n.parse().ok(),
+            Value::Num(Num::U(n)) => (*n).try_into().ok(),
+            Value::Num(Num::I(n)) => Some(*n),
+            Value::Num(Num::Lex(s)) => s.parse().ok(),
             _ => None,
         }
     }
 
-    /// The number parsed as `f64` (accepting `NaN`/`inf`/`-inf`).
+    /// The number as `f64` (accepting `NaN`/`inf`/`-inf`); integers
+    /// round to nearest, exactly as parsing their text does.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => match n.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                other => other.parse().ok(),
-            },
+            Value::Num(Num::U(n)) => Some(*n as f64),
+            Value::Num(Num::I(n)) => Some(*n as f64),
+            Value::Num(Num::F(v)) => Some(*v),
+            Value::Num(Num::Lex(s)) => s.parse().ok(),
             _ => None,
         }
     }
@@ -115,14 +117,107 @@ impl Value {
 
     /// Convenience constructor: an unsigned integer value.
     pub fn u64(n: u64) -> Value {
-        Value::Num(n.to_string())
+        Value::Num(Num::U(n))
     }
 
     /// Convenience constructor: an `f64` value written with shortest
     /// round-trip formatting (re-parses to identical bits).
     pub fn f64(v: f64) -> Value {
-        Value::Num(fmt_f64(v))
+        Value::Num(Num::F(if v.is_nan() { f64::NAN } else { v }))
     }
+
+    /// Removes and returns the field `key`, if this is an object that
+    /// has it — moves a subtree out without cloning it.
+    pub fn take(&mut self, key: &str) -> Option<Value> {
+        match self {
+            Value::Obj(entries) => {
+                let i = entries.iter().position(|(k, _)| k == key)?;
+                Some(entries.remove(i).1)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A JSON number, stored inline wherever that is lossless.
+///
+/// Every form renders to exactly one text, and that text re-parses to
+/// the same form, so write → parse → write is byte-stable. Equality is
+/// equality of the rendered text.
+#[derive(Debug, Clone)]
+pub enum Num {
+    /// A non-negative integer, rendered in decimal.
+    U(u64),
+    /// A negative integer (non-negative ones are always [`Num::U`]).
+    I(i64),
+    /// A float, rendered in Rust's shortest round-trip form (`{:?}`)
+    /// with `NaN`/`inf`/`-inf` spelled out; NaN is stored as
+    /// `f64::NAN`.
+    F(f64),
+    /// A lexeme no inline form renders back to verbatim (`1e5`, `01`,
+    /// `1.50`, integers beyond 64 bits), kept as parsed.
+    Lex(Box<str>),
+}
+
+impl Num {
+    /// Parses a number lexeme: the inline form whose rendering is the
+    /// lexeme itself, else the lexeme verbatim. `None` when the lexeme
+    /// is not a number at all (does not parse as an `f64`).
+    fn parse(lexeme: &str) -> Option<Num> {
+        let inline = if let Ok(n) = lexeme.parse() {
+            Num::U(n)
+        } else if let Ok(n) = lexeme.parse() {
+            Num::I(n)
+        } else {
+            Num::F(lexeme.parse().ok()?)
+        };
+        if renders_as(&inline, lexeme) {
+            Some(inline)
+        } else {
+            lexeme.parse::<f64>().ok()?;
+            Some(Num::Lex(lexeme.into()))
+        }
+    }
+}
+
+impl PartialEq for Num {
+    fn eq(&self, other: &Num) -> bool {
+        match (self, other) {
+            (Num::U(a), Num::U(b)) => a == b,
+            (Num::I(a), Num::I(b)) => a == b,
+            // Shortest round-trip text is unique per bit pattern.
+            (Num::F(a), Num::F(b)) => a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+            (Num::Lex(a), Num::Lex(b)) => a == b,
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Num::U(n) => write!(f, "{n}"),
+            Num::I(n) => write!(f, "{n}"),
+            // Shortest round-trip form; non-finite values come out as
+            // `NaN`, `inf` and `-inf`, which the parser accepts.
+            Num::F(v) => write!(f, "{v:?}"),
+            Num::Lex(s) => f.write_str(s),
+        }
+    }
+}
+
+/// Whether `n` renders to exactly `lexeme`, compared as the text is
+/// produced (no allocation).
+fn renders_as(n: &Num, lexeme: &str) -> bool {
+    struct Match<'a>(&'a str);
+    impl fmt::Write for Match<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Match(lexeme);
+    fmt::write(&mut rest, format_args!("{n}")).is_ok() && rest.0.is_empty()
 }
 
 impl fmt::Display for Value {
@@ -131,7 +226,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => f.write_str(n),
+            Value::Num(n) => n.fmt(f),
             Value::Str(s) => write_escaped(f, s),
             Value::Arr(items) => {
                 f.write_str("[")?;
@@ -156,21 +251,6 @@ impl fmt::Display for Value {
                 f.write_str("}")
             }
         }
-    }
-}
-
-/// Formats an `f64` so that parsing the text yields identical bits:
-/// Rust's `{:?}` shortest round-trip form, with explicit `NaN`/`inf`
-/// spellings.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".into()
-    } else if v == f64::INFINITY {
-        "inf".into()
-    } else if v == f64::NEG_INFINITY {
-        "-inf".into()
-    } else {
-        format!("{v:?}")
     }
 }
 
@@ -276,10 +356,10 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(b'N') => self.literal("NaN", Value::Num("NaN".into())),
-            Some(b'i') => self.literal("inf", Value::Num("inf".into())),
+            Some(b'N') => self.literal("NaN", Value::f64(f64::NAN)),
+            Some(b'i') => self.literal("inf", Value::f64(f64::INFINITY)),
             Some(b'-') if self.bytes[self.pos..].starts_with(b"-inf") => {
-                self.literal("-inf", Value::Num("-inf".into()))
+                self.literal("-inf", Value::f64(f64::NEG_INFINITY))
             }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected byte {:?}", other as char))),
@@ -407,11 +487,9 @@ impl<'a> Parser<'a> {
         if lexeme.is_empty() || lexeme == "-" {
             return Err(self.err("malformed number"));
         }
-        // Validate the lexeme parses as a float (the superset).
-        lexeme
-            .parse::<f64>()
-            .map_err(|_| self.err(format!("malformed number {lexeme:?}")))?;
-        Ok(Value::Num(lexeme.to_string()))
+        Num::parse(lexeme)
+            .map(Value::Num)
+            .ok_or_else(|| self.err(format!("malformed number {lexeme:?}")))
     }
 }
 
@@ -460,6 +538,115 @@ mod tests {
             "inf lexeme"
         );
         assert_eq!(parse("-inf").unwrap().as_f64(), Some(f64::NEG_INFINITY));
+    }
+
+    fn num(src: &str) -> Num {
+        match parse(src).unwrap() {
+            Value::Num(n) => n,
+            other => panic!("{src} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn canonical_lexemes_are_stored_inline() {
+        let max = u64::MAX.to_string();
+        let min = i64::MIN.to_string();
+        for src in ["0", "7", "42", max.as_str()] {
+            assert!(matches!(num(src), Num::U(_)), "{src}");
+            assert_eq!(num(src).to_string(), src);
+        }
+        for src in ["-1", "-17", min.as_str()] {
+            assert!(matches!(num(src), Num::I(_)), "{src}");
+            assert_eq!(num(src).to_string(), src);
+        }
+        for src in [
+            "1.5",
+            "0.1",
+            "-0.0",
+            "1e20",
+            "1e-7",
+            "2.2250738585072014e-308",
+            "NaN",
+            "inf",
+            "-inf",
+        ] {
+            assert!(matches!(num(src), Num::F(_)), "{src}");
+            assert_eq!(num(src).to_string(), src);
+        }
+    }
+
+    #[test]
+    fn non_canonical_lexemes_re_render_verbatim() {
+        for src in [
+            "1e5",
+            "1E5",
+            "01",
+            "-01",
+            "-0",
+            "1.50",
+            "1.0e0",
+            "0.10",
+            "18446744073709551616",
+            "-9223372036854775809",
+            "1e400",
+        ] {
+            assert!(matches!(num(src), Num::Lex(_)), "{src}");
+            assert_eq!(num(src).to_string(), src);
+            let doc = format!("[{src},{{\"k\":{src}}}]");
+            assert_eq!(parse(&doc).unwrap().to_string(), doc);
+        }
+    }
+
+    #[test]
+    fn accessors_match_parsing_the_lexeme() {
+        let max = u64::MAX.to_string();
+        let min = i64::MIN.to_string();
+        for src in [
+            "0",
+            "42",
+            "4294967296",
+            "9223372036854775808",
+            max.as_str(),
+            "-17",
+            min.as_str(),
+            "1.5",
+            "-0.0",
+            "1e20",
+            "NaN",
+            "inf",
+            "-inf",
+            "1e5",
+            "01",
+            "-0",
+            "1.50",
+            "18446744073709551616",
+            "9007199254740993",
+        ] {
+            let v = parse(src).unwrap();
+            assert_eq!(v.as_u64(), src.parse().ok(), "as_u64 {src}");
+            assert_eq!(v.as_u32(), src.parse().ok(), "as_u32 {src}");
+            assert_eq!(v.as_i64(), src.parse().ok(), "as_i64 {src}");
+            let want: f64 = src.parse().unwrap();
+            let got = v.as_f64().unwrap();
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "as_f64 {src}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn numbers_compare_by_rendered_text() {
+        assert_eq!(parse("5").unwrap(), Value::u64(5));
+        assert_eq!(parse("1.0").unwrap(), Value::f64(1.0));
+        assert_eq!(parse("-3").unwrap(), Value::Num(Num::I(-3)));
+        let payload_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert_eq!(Value::f64(payload_nan), parse("NaN").unwrap());
+        assert_eq!(Value::f64(payload_nan).to_string(), "NaN");
+        assert_ne!(parse("1e5").unwrap(), Value::f64(1e5));
+        assert_ne!(parse("01").unwrap(), Value::u64(1));
+        assert_ne!(Value::f64(0.0), Value::f64(-0.0));
+        assert_eq!(Num::Lex("7".into()), Num::U(7));
     }
 
     #[test]

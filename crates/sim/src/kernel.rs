@@ -6,6 +6,8 @@
 //! first thread's address when the intra-warp stride is uniform —
 //! §3.4); divergent loads carry multiple transactions.
 
+use std::sync::Arc;
+
 use crate::types::{Address, CtaId, Pc, WarpId};
 
 /// One instruction in a warp's trace.
@@ -159,6 +161,10 @@ impl WarpTrace {
 /// front-end assigns warps to SMs CTA-by-CTA, round-robin over SMs,
 /// respecting `max_warps_per_sm`.
 ///
+/// The warp traces are shared, not copied, between clones: every
+/// device built from one trace reads the same instructions. (The
+/// `Vec` is wrapped as is, so building a trace copies nothing.)
+///
 /// # Examples
 ///
 /// ```
@@ -171,7 +177,7 @@ impl WarpTrace {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     name: String,
-    warps: Vec<WarpTrace>,
+    warps: Arc<Vec<WarpTrace>>,
 }
 
 impl KernelTrace {
@@ -184,7 +190,7 @@ impl KernelTrace {
         assert!(!warps.is_empty(), "kernel must have at least one warp");
         KernelTrace {
             name: name.into(),
-            warps,
+            warps: Arc::new(warps),
         }
     }
 

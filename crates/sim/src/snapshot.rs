@@ -5,7 +5,7 @@
 //! interconnect queues, the memory partition, prefetcher tables, the
 //! fault injector's RNG stream position, watchdog progress counters,
 //! and the observability accumulators — as one schema-versioned JSON
-//! document. The format rides on [`crate::json`]'s lossless lexeme
+//! document. The format rides on [`crate::json`]'s lossless number
 //! round-trips: a restored run continues on exactly the bit pattern
 //! the interrupted run would have used, so the final [`SimOutcome`]
 //! is byte-identical to the uninterrupted run's.
@@ -25,11 +25,11 @@
 //!
 //! [`SimOutcome`]: crate::SimOutcome
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::Path;
 
-use crate::json::{self, Value};
+use crate::json::{self, Num, Value};
 
 /// Version of the checkpoint document schema. Bump on any change to
 /// the component state layouts; a mismatch on load is a typed error,
@@ -120,16 +120,46 @@ impl std::error::Error for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit hash (same function the sweep manifest uses for its
-/// header fingerprint; duplicated because the bench crate depends on
-/// this one, not the other way around).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming 64-bit FNV-1a: hashes text as it is formatted into it
+/// (`write!(hasher, ...)`), so hashing a large rendering never
+/// materializes it. Stable, dependency-free, not cryptographic.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Folds `bytes` into the hash.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes` — the checkpoint checksum and the
+/// fingerprint/seed hash of the sweep supervisor.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::default();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 impl Checkpoint {
@@ -141,20 +171,26 @@ impl Checkpoint {
         self.state.get("cycle").and_then(Value::as_u64)
     }
 
-    /// Serializes the artifact as a single JSON document. The payload
-    /// checksum goes in before the state, so [`from_json`] can detect
-    /// any corruption that still parses.
+    /// Renders the artifact as a single compact JSON document (what
+    /// [`write_atomic`] writes, minus the trailing newline). The
+    /// payload checksum goes in before the state, so [`from_json`] can
+    /// detect any corruption that still parses. The state is rendered
+    /// once, into the buffer the document is returned in.
     ///
+    /// [`write_atomic`]: Checkpoint::write_atomic
     /// [`from_json`]: Checkpoint::from_json
-    pub fn to_json(&self) -> Value {
-        let crc = fnv1a64(self.state.to_string().as_bytes());
-        Value::Obj(vec![
-            ("magic".into(), Value::str(SNAPSHOT_MAGIC)),
-            ("version".into(), Value::u64(SNAPSHOT_SCHEMA_VERSION)),
-            ("fingerprint".into(), Value::u64(self.fingerprint)),
-            ("crc".into(), Value::u64(crc)),
-            ("state".into(), self.state.clone()),
-        ])
+    pub fn render(&self) -> String {
+        let mut doc = self.state.to_string();
+        let header = format!(
+            "{{\"magic\":\"{SNAPSHOT_MAGIC}\",\"version\":{SNAPSHOT_SCHEMA_VERSION},\
+             \"fingerprint\":{},\"crc\":{},\"state\":",
+            self.fingerprint,
+            fnv1a64(doc.as_bytes())
+        );
+        doc.reserve_exact(header.len() + 1);
+        doc.insert_str(0, &header);
+        doc.push('}');
+        doc
     }
 
     /// Rebuilds and validates an artifact from its JSON document.
@@ -164,7 +200,7 @@ impl Checkpoint {
     /// [`SnapshotError::Malformed`] on a missing magic/field or a
     /// checksum mismatch; [`SnapshotError::SchemaMismatch`] when the
     /// document was written by a different schema version.
-    pub fn from_json(v: &Value) -> Result<Self, SnapshotError> {
+    pub fn from_json(mut v: Value) -> Result<Self, SnapshotError> {
         let magic = v
             .get("magic")
             .and_then(Value::as_str)
@@ -174,14 +210,18 @@ impl Checkpoint {
                 "magic {magic:?} is not {SNAPSHOT_MAGIC:?}"
             )));
         }
-        let version = u64_field(v, "version")?;
+        let version = u64_field(&v, "version")?;
         if version != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch { found: version });
         }
-        let fingerprint = u64_field(v, "fingerprint")?;
-        let crc = u64_field(v, "crc")?;
-        let state = field(v, "state")?.clone();
-        let actual = fnv1a64(state.to_string().as_bytes());
+        let fingerprint = u64_field(&v, "fingerprint")?;
+        let crc = u64_field(&v, "crc")?;
+        let state = v
+            .take("state")
+            .ok_or_else(|| SnapshotError::malformed("missing field \"state\""))?;
+        let mut hash = Fnv1a64::default();
+        write!(hash, "{state}").expect("hashing cannot fail");
+        let actual = hash.finish();
         if actual != crc {
             return Err(SnapshotError::malformed(format!(
                 "state checksum {actual:#018x} does not match recorded {crc:#018x}"
@@ -206,7 +246,7 @@ impl Checkpoint {
             source,
         };
         let tmp = path.with_extension("ckpt-tmp");
-        let text = self.to_json().to_string();
+        let text = self.render();
         {
             let mut f = std::fs::File::create(&tmp).map_err(err)?;
             f.write_all(text.as_bytes()).map_err(err)?;
@@ -233,7 +273,10 @@ impl Checkpoint {
         })?;
         let v = json::parse(text.trim_end())
             .map_err(|e| SnapshotError::malformed(format!("{}: {e}", path.display())))?;
-        Checkpoint::from_json(&v)
+        // The tree owns everything from here on: free the text so it
+        // is not held alongside the tree while the crc is checked.
+        drop(text);
+        Checkpoint::from_json(v)
     }
 
     /// Checks the artifact against the fingerprint of the simulation
@@ -300,24 +343,24 @@ pub fn usize_field(v: &Value, key: &str) -> Result<usize, SnapshotError> {
         .map_err(|_| SnapshotError::malformed(format!("field {key:?} exceeds usize")))
 }
 
-/// Reads an `i64` field (stored as its decimal lexeme).
+/// Reads an `i64` field (written by [`i64_value`]).
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Malformed`] when missing or mistyped.
 pub fn i64_field(v: &Value, key: &str) -> Result<i64, SnapshotError> {
     match v.get(key) {
-        Some(Value::Num(s)) => s
-            .parse()
-            .map_err(|_| SnapshotError::malformed(format!("field {key:?} is not an i64"))),
+        Some(n @ Value::Num(_)) => n
+            .as_i64()
+            .ok_or_else(|| SnapshotError::malformed(format!("field {key:?} is not an i64"))),
         _ => Err(SnapshotError::malformed(format!(
             "missing or non-numeric field {key:?}"
         ))),
     }
 }
 
-/// Reads an `f64` field; the lexeme round-trips bit-exactly because
-/// both sides use [`json::fmt_f64`]'s shortest representation.
+/// Reads an `f64` field; the number round-trips bit-exactly because
+/// both sides use [`Value::f64`]'s shortest representation.
 ///
 /// # Errors
 ///
@@ -399,9 +442,9 @@ pub fn first_divergence(a: &Value, b: &Value) -> Option<String> {
     walk(a, b, &mut Vec::new())
 }
 
-/// Encodes an `i64` as a decimal [`Value::Num`] lexeme.
+/// Encodes an `i64` as a decimal [`Value::Num`].
 pub fn i64_value(n: i64) -> Value {
-    Value::Num(n.to_string())
+    Value::Num(u64::try_from(n).map_or(Num::I(n), Num::U))
 }
 
 /// Encodes an `Option<u64>` as the number or `null`.
@@ -444,10 +487,10 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_bit_exactly() {
         let c = sample();
-        let text = c.to_json().to_string();
-        let back = Checkpoint::from_json(&json::parse(&text).unwrap()).unwrap();
+        let text = c.render();
+        let back = Checkpoint::from_json(json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, c);
-        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(back.render(), text);
     }
 
     #[test]
@@ -482,19 +525,19 @@ mod tests {
 
     #[test]
     fn corruption_that_still_parses_fails_the_checksum() {
-        let text = sample().to_json().to_string().replace("41", "42");
-        let err = Checkpoint::from_json(&json::parse(&text).unwrap()).unwrap_err();
+        let text = sample().render().replace("41", "42");
+        let err = Checkpoint::from_json(json::parse(&text).unwrap()).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
     }
 
     #[test]
     fn version_and_fingerprint_mismatches_are_typed() {
-        let mut v = sample().to_json();
+        let mut v = json::parse(&sample().render()).unwrap();
         if let Value::Obj(fields) = &mut v {
             fields[1].1 = Value::u64(SNAPSHOT_SCHEMA_VERSION + 1);
         }
         assert!(matches!(
-            Checkpoint::from_json(&v).unwrap_err(),
+            Checkpoint::from_json(v).unwrap_err(),
             SnapshotError::SchemaMismatch { .. }
         ));
         let c = sample();

@@ -13,6 +13,9 @@ cargo build --release --workspace
 echo "==> cargo test (default features)"
 cargo test --workspace -q
 
+echo "==> cargo test (optimized build: sandbox timing and checkpoint bytes)"
+cargo test --release -p snake-bench --test executor --test checkpoint -q
+
 echo "==> cargo test (audit feature)"
 cargo test -p snake-sim --features audit -q
 
@@ -244,9 +247,15 @@ snaked_ready() { # ctl-array-name
     --checkpoint-every 500 &
 SNAKED_PID=$!
 snaked_ready RCTL
-RECOVER_ID=$("${RCTL[@]}" submit --benchmarks LPS --mechanisms snake \
+RECOVER_ID=$("${RCTL[@]}" submit --benchmarks MUM --mechanisms snake \
     --budget 150000 --window 500)
-sleep 0.4
+# Kill as soon as the first checkpoint is journaled: the job is then
+# provably mid-run (MUM runs ~136k cycles, the first checkpoint lands
+# at cycle 500), however fast the host simulates.
+for _ in $(seq 1 500); do
+    grep -q '"event":"checkpoint"' "$RECOVER_LOG" && break
+    sleep 0.01
+done
 kill -9 "$SNAKED_PID"
 wait "$SNAKED_PID" 2>/dev/null || true
 ./target/release/snaked --socket "$RECOVER_SOCK" --state "$RECOVER_LOG" \
