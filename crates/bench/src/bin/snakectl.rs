@@ -503,7 +503,7 @@ fn main() {
                 .get("job")
                 .and_then(|j| j.get("reports"))
                 .cloned()
-                .unwrap_or(Value::Arr(Vec::new()));
+                .unwrap_or(Value::Arr(Box::default()));
             println!("{reports}");
         }
         Command::Oneshot(req) => {

@@ -83,7 +83,7 @@ impl HostFingerprint {
     }
 
     fn to_json(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("cpus".into(), Value::u64(self.cpus)),
             ("rustc".into(), Value::str(&self.rustc)),
             ("git_sha".into(), Value::str(&self.git_sha)),
@@ -217,14 +217,14 @@ pub(crate) fn profile_to_json(p: &HostProfile) -> Value {
     let phases = p
         .iter()
         .map(|(phase, stat)| {
-            Value::Obj(vec![
+            Value::obj(vec![
                 ("phase".into(), Value::str(phase.label())),
                 ("nanos".into(), Value::u64(stat.nanos)),
                 ("calls".into(), Value::u64(stat.calls)),
             ])
         })
         .collect();
-    Value::Obj(vec![
+    Value::obj(vec![
         ("wall_nanos".into(), Value::u64(p.wall_nanos)),
         ("cycles".into(), Value::u64(p.cycles)),
         ("trace_events".into(), Value::u64(p.trace_events)),
@@ -262,7 +262,7 @@ impl PerfReport {
             .jobs
             .iter()
             .map(|j| {
-                Value::Obj(vec![
+                Value::obj(vec![
                     ("job".into(), Value::str(&j.job)),
                     (
                         "samples".into(),
@@ -271,7 +271,7 @@ impl PerfReport {
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("schema_version".into(), Value::u64(SCHEMA_VERSION)),
             ("label".into(), Value::str(&self.label)),
             ("runs".into(), Value::u64(u64::from(self.runs))),

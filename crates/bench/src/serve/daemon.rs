@@ -144,9 +144,9 @@ struct QuarantineNote {
 impl QuarantineNote {
     fn to_json(&self) -> Value {
         let mut fields = vec![
-            ("job".to_string(), Value::str(&self.job)),
-            ("attempts".to_string(), Value::u64(u64::from(self.attempts))),
-            ("error".to_string(), Value::str(&self.error)),
+            ("job".into(), Value::str(&self.job)),
+            ("attempts".into(), Value::u64(u64::from(self.attempts))),
+            ("error".into(), Value::str(&self.error)),
         ];
         if let Some(kind) = &self.crash {
             fields.push(("crash".into(), Value::str(kind)));
@@ -154,7 +154,7 @@ impl QuarantineNote {
         if let Some(excerpt) = &self.stderr {
             fields.push(("stderr".into(), Value::str(excerpt)));
         }
-        Value::Obj(fields)
+        Value::obj(fields)
     }
 }
 
@@ -1053,11 +1053,11 @@ fn handle_submit(shared: &Shared, spec: &SubmitSpec, out: &mut UnixStream) -> io
 fn status_json(entry: &JobEntry) -> Value {
     let state = entry.state.lock().unwrap();
     let mut fields = vec![
-        ("id".to_string(), Value::u64(entry.id)),
-        ("desc".to_string(), Value::str(&entry.desc)),
-        ("priority".to_string(), Value::u64(entry.priority)),
-        ("state".to_string(), Value::str(state.label())),
-        ("progress".to_string(), entry.progress.snapshot().to_json()),
+        ("id".into(), Value::u64(entry.id)),
+        ("desc".into(), Value::str(&entry.desc)),
+        ("priority".into(), Value::u64(entry.priority)),
+        ("state".into(), Value::str(state.label())),
+        ("progress".into(), entry.progress.snapshot().to_json()),
     ];
     if let Some(client) = &entry.client {
         fields.push(("client".into(), Value::str(client)));
@@ -1075,7 +1075,7 @@ fn status_json(entry: &JobEntry) -> Value {
                 reports
                     .iter()
                     .map(|(job, stop, report)| {
-                        Value::Obj(vec![
+                        Value::obj(vec![
                             ("job".into(), Value::str(job)),
                             ("stop".into(), Value::str(stop)),
                             ("report".into(), report.to_json()),
@@ -1091,7 +1091,7 @@ fn status_json(entry: &JobEntry) -> Value {
             ));
         }
     }
-    Value::Obj(fields)
+    Value::obj(fields)
 }
 
 fn handle_status(shared: &Shared, id: Option<u64>, out: &mut UnixStream) -> io::Result<()> {

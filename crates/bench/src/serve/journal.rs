@@ -113,22 +113,22 @@ impl JournalEvent {
     pub fn to_json(&self) -> Value {
         let base = |event: &str, id: u64| {
             vec![
-                ("event".to_string(), Value::str(event)),
-                ("id".to_string(), Value::u64(id)),
+                ("event".into(), Value::str(event)),
+                ("id".into(), Value::u64(id)),
             ]
         };
         match self {
             JournalEvent::Submitted { id, spec } => {
                 let mut fields = base("submitted", *id);
                 fields.push(("spec".into(), spec.to_json()));
-                Value::Obj(fields)
+                Value::obj(fields)
             }
-            JournalEvent::Running { id } => Value::Obj(base("running", *id)),
-            JournalEvent::Requeued { id } => Value::Obj(base("requeued", *id)),
+            JournalEvent::Running { id } => Value::obj(base("running", *id)),
+            JournalEvent::Requeued { id } => Value::obj(base("requeued", *id)),
             JournalEvent::Job { id, record } => {
                 let mut fields = base("job", *id);
                 fields.push(("record".into(), record.to_json()));
-                Value::Obj(fields)
+                Value::obj(fields)
             }
             JournalEvent::Checkpoint {
                 id,
@@ -140,18 +140,18 @@ impl JournalEvent {
                 fields.push(("job".into(), Value::str(job)));
                 fields.push(("cycle".into(), Value::u64(*cycle)));
                 fields.push(("path".into(), Value::str(path)));
-                Value::Obj(fields)
+                Value::obj(fields)
             }
             JournalEvent::CheckpointCleared { id, job } => {
                 let mut fields = base("checkpoint_cleared", *id);
                 fields.push(("job".into(), Value::str(job)));
-                Value::Obj(fields)
+                Value::obj(fields)
             }
             JournalEvent::Terminal { id, state, exit } => {
                 let mut fields = base(state, *id);
                 fields.push(("terminal".into(), Value::Bool(true)));
                 fields.push(("exit".into(), Value::u64((*exit).max(0) as u64)));
-                Value::Obj(fields)
+                Value::obj(fields)
             }
         }
     }

@@ -72,39 +72,39 @@ impl SubmitSpec {
     pub fn to_json(&self) -> Value {
         let mut fields = Vec::new();
         if let Some(b) = &self.benchmarks {
-            fields.push(("benchmarks".to_string(), Value::str(b)));
+            fields.push(("benchmarks".into(), Value::str(b)));
         }
         if let Some(m) = &self.mechanisms {
-            fields.push(("mechanisms".to_string(), Value::str(m)));
+            fields.push(("mechanisms".into(), Value::str(m)));
         }
         if self.quick {
-            fields.push(("quick".to_string(), Value::Bool(true)));
+            fields.push(("quick".into(), Value::Bool(true)));
         }
         if let Some(b) = self.budget {
-            fields.push(("budget".to_string(), Value::u64(b)));
+            fields.push(("budget".into(), Value::u64(b)));
         }
         if let Some(w) = self.window {
-            fields.push(("window".to_string(), Value::u64(w)));
+            fields.push(("window".into(), Value::u64(w)));
         }
         if self.events {
-            fields.push(("events".to_string(), Value::Bool(true)));
+            fields.push(("events".into(), Value::Bool(true)));
         }
         if self.isolate {
-            fields.push(("isolate".to_string(), Value::Bool(true)));
+            fields.push(("isolate".into(), Value::Bool(true)));
         }
         if self.priority != 0 {
-            fields.push(("priority".to_string(), Value::u64(self.priority)));
+            fields.push(("priority".into(), Value::u64(self.priority)));
         }
         if let Some(c) = &self.client {
-            fields.push(("client".to_string(), Value::str(c)));
+            fields.push(("client".into(), Value::str(c)));
         }
         if let Some(d) = self.deadline_ms {
-            fields.push(("deadline_ms".to_string(), Value::u64(d)));
+            fields.push(("deadline_ms".into(), Value::u64(d)));
         }
         if let Some(n) = self.checkpoint_every {
-            fields.push(("checkpoint_every".to_string(), Value::u64(n)));
+            fields.push(("checkpoint_every".into(), Value::u64(n)));
         }
-        Value::Obj(fields)
+        Value::obj(fields)
     }
 
     /// Parses the spec fields out of an object; absent fields default.
@@ -199,23 +199,23 @@ impl Request {
     pub fn to_json(&self) -> Value {
         match self {
             Request::Submit(s) => {
-                let mut fields = vec![("op".to_string(), Value::str("submit"))];
+                let mut fields = vec![("op".into(), Value::str("submit"))];
                 if let Value::Obj(spec_fields) = s.to_json() {
                     fields.extend(spec_fields);
                 }
-                Value::Obj(fields)
+                Value::obj(fields)
             }
             Request::Status { id } => {
                 let mut fields = vec![("op".into(), Value::str("status"))];
                 if let Some(id) = id {
                     fields.push(("id".into(), Value::u64(*id)));
                 }
-                Value::Obj(fields)
+                Value::obj(fields)
             }
             Request::Tail { id, ring, from } => {
                 let mut fields = vec![
-                    ("op".to_string(), Value::str("tail")),
-                    ("id".to_string(), Value::u64(*id)),
+                    ("op".into(), Value::str("tail")),
+                    ("id".into(), Value::u64(*id)),
                 ];
                 if *ring != 0 {
                     fields.push(("ring".into(), Value::u64(*ring)));
@@ -223,28 +223,28 @@ impl Request {
                 if let Some(seq) = from {
                     fields.push(("from".into(), Value::u64(*seq)));
                 }
-                Value::Obj(fields)
+                Value::obj(fields)
             }
-            Request::Cancel { id } => Value::Obj(vec![
+            Request::Cancel { id } => Value::obj(vec![
                 ("op".into(), Value::str("cancel")),
                 ("id".into(), Value::u64(*id)),
             ]),
-            Request::Health => Value::Obj(vec![("op".into(), Value::str("health"))]),
-            Request::Shutdown => Value::Obj(vec![("op".into(), Value::str("shutdown"))]),
+            Request::Health => Value::obj(vec![("op".into(), Value::str("health"))]),
+            Request::Shutdown => Value::obj(vec![("op".into(), Value::str("shutdown"))]),
         }
     }
 }
 
 /// `{"ok":true,...fields}`.
-pub fn ok_line(fields: Vec<(String, Value)>) -> Value {
+pub fn ok_line(fields: Vec<(Box<str>, Value)>) -> Value {
     let mut all = vec![("ok".into(), Value::Bool(true))];
     all.extend(fields);
-    Value::Obj(all)
+    Value::obj(all)
 }
 
 /// `{"ok":false,"error":...}`.
 pub fn err_line(message: &str) -> Value {
-    Value::Obj(vec![
+    Value::obj(vec![
         ("ok".into(), Value::Bool(false)),
         ("error".into(), Value::str(message)),
     ])
@@ -254,7 +254,7 @@ pub fn err_line(message: &str) -> Value {
 /// client can dispatch on (e.g. `"quota"` → `snakectl` exit code 8)
 /// instead of string-matching the message.
 pub fn err_line_coded(message: &str, code: &str) -> Value {
-    Value::Obj(vec![
+    Value::obj(vec![
         ("ok".into(), Value::Bool(false)),
         ("error".into(), Value::str(message)),
         ("code".into(), Value::str(code)),
@@ -263,7 +263,7 @@ pub fn err_line_coded(message: &str, code: &str) -> Value {
 
 /// The `stream` line announcing a per-job ring subscription.
 pub fn stream_line(job: &str, from: u64) -> Value {
-    Value::Obj(vec![
+    Value::obj(vec![
         ("type".into(), Value::str("stream")),
         ("job".into(), Value::str(job)),
         ("from".into(), Value::u64(from)),
@@ -276,7 +276,7 @@ pub fn stream_line(job: &str, from: u64) -> Value {
 /// one — e.g. a ring produced entirely before the subscriber arrived)
 /// is still visible arithmetic, not silent absence.
 pub fn stream_end_line(job: &str, next: u64) -> Value {
-    Value::Obj(vec![
+    Value::obj(vec![
         ("type".into(), Value::str("stream_end")),
         ("job".into(), Value::str(job)),
         ("next".into(), Value::u64(next)),
@@ -285,7 +285,7 @@ pub fn stream_end_line(job: &str, next: u64) -> Value {
 
 /// One metrics window as a stream line.
 pub fn window_line(job: &str, seq: u64, s: &MetricsSample, dropped: u64) -> Value {
-    Value::Obj(vec![
+    Value::obj(vec![
         ("type".into(), Value::str("window")),
         ("job".into(), Value::str(job)),
         ("seq".into(), Value::u64(seq)),
@@ -315,7 +315,7 @@ pub fn window_line(job: &str, seq: u64, s: &MetricsSample, dropped: u64) -> Valu
 
 /// One trace event as a stream line.
 pub fn event_line(job: &str, seq: u64, e: &TraceEvent, dropped: u64) -> Value {
-    Value::Obj(vec![
+    Value::obj(vec![
         ("type".into(), Value::str("event")),
         ("job".into(), Value::str(job)),
         ("seq".into(), Value::u64(seq)),
@@ -339,14 +339,14 @@ pub fn progress_line(snap: &ProgressSnapshot) -> Value {
     if let Value::Obj(counters) = snap.to_json() {
         fields.extend(counters);
     }
-    Value::Obj(fields)
+    Value::obj(fields)
 }
 
 /// The terminal stream line.
 pub fn done_line(state: &str, exit: i32, delivered: u64, dropped: u64) -> Value {
     // Exit codes are small non-negative constants; the json module is
     // unsigned-only, which is fine here.
-    Value::Obj(vec![
+    Value::obj(vec![
         ("type".into(), Value::str("done")),
         ("state".into(), Value::str(state)),
         ("exit".into(), Value::u64(exit.max(0) as u64)),
@@ -427,5 +427,23 @@ mod tests {
         assert!(Request::parse("{\"op\":\"warp\"}").is_err());
         assert!(Request::parse("{\"op\":\"tail\"}").is_err());
         assert!(Request::parse("{\"op\":\"tail\",\"id\":\"x\"}").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_rejected_not_a_stack_overflow() {
+        // A socket line of 100k `[` runs on a worker-sized stack.
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Request::parse(&"[".repeat(100_000)).unwrap_err())
+            .unwrap()
+            .join()
+            .expect("parsing must not overflow the stack");
+        let depth = snake_core::json::MAX_DEPTH;
+        assert_eq!(
+            err,
+            format!(
+                "bad json: JSON parse error at byte {depth}: nesting deeper than {depth} levels"
+            )
+        );
     }
 }

@@ -54,7 +54,7 @@ pub struct ManifestHeader {
 
 impl ManifestHeader {
     fn to_json(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("manifest".into(), Value::str(MANIFEST_MAGIC)),
             ("version".into(), Value::u64(MANIFEST_VERSION)),
             ("fingerprint".into(), Value::str(&self.fingerprint)),
@@ -160,7 +160,7 @@ impl JobRecord {
                 attempts,
                 stop,
                 report,
-            } => Value::Obj(vec![
+            } => Value::obj(vec![
                 ("job".into(), Value::str(job)),
                 ("state".into(), Value::str("completed")),
                 ("attempts".into(), Value::u64(u64::from(*attempts))),
@@ -188,14 +188,14 @@ impl JobRecord {
                 if let Some(excerpt) = stderr {
                     fields.push(("stderr".into(), Value::str(excerpt)));
                 }
-                Value::Obj(fields)
+                Value::obj(fields)
             }
             JobRecord::Suspended {
                 job,
                 attempts,
                 cycle,
                 checkpoint,
-            } => Value::Obj(vec![
+            } => Value::obj(vec![
                 ("job".into(), Value::str(job)),
                 ("state".into(), Value::str("suspended")),
                 ("attempts".into(), Value::u64(u64::from(*attempts))),

@@ -139,7 +139,7 @@ impl ProgressSnapshot {
     /// The counters as a json object (the daemon's `progress` stream
     /// line payload).
     pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("total".into(), Value::u64(self.total)),
             ("done".into(), Value::u64(self.done)),
             ("quarantined".into(), Value::u64(self.quarantined)),

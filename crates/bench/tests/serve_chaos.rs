@@ -78,7 +78,7 @@ fn report_bytes(socket: &Path, id: u64) -> String {
         .get("job")
         .and_then(|j| j.get("reports"))
         .cloned()
-        .unwrap_or(Value::Arr(Vec::new()))
+        .unwrap_or(Value::Arr(Box::default()))
         .to_string()
 }
 

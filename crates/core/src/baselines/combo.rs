@@ -86,7 +86,7 @@ impl Prefetcher for Combined {
     }
 
     fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("first".into(), self.first.save_state()),
             ("second".into(), self.second.save_state()),
         ])

@@ -145,9 +145,9 @@ impl Prefetcher for CtaAware {
                 let bases = e
                     .cta_bases
                     .iter()
-                    .map(|(c, a)| Value::Arr(vec![Value::u64(u64::from(c.0)), Value::u64(a.raw())]))
+                    .map(|(c, a)| Value::arr(vec![Value::u64(u64::from(c.0)), Value::u64(a.raw())]))
                     .collect();
-                Value::Arr(vec![
+                Value::arr(vec![
                     Value::u64(u64::from(pc.0)),
                     Value::Arr(bases),
                     e.stride.map_or(Value::Null, snapshot::i64_value),
@@ -155,7 +155,7 @@ impl Prefetcher for CtaAware {
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("table".into(), Value::Arr(rows)),
             ("seq".into(), Value::u64(self.seq)),
         ])

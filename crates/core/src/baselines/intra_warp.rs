@@ -133,7 +133,7 @@ impl Prefetcher for IntraWarp {
         let rows = rows
             .into_iter()
             .map(|((w, pc), e)| {
-                Value::Arr(vec![
+                Value::arr(vec![
                     Value::u64(u64::from(w.0)),
                     Value::u64(u64::from(pc.0)),
                     Value::u64(e.last_addr.raw()),
@@ -143,7 +143,7 @@ impl Prefetcher for IntraWarp {
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("table".into(), Value::Arr(rows)),
             ("seq".into(), Value::u64(self.seq)),
         ])

@@ -45,7 +45,7 @@ impl Prefetcher for Mta {
     }
 
     fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("intra".into(), self.intra.save_state()),
             ("inter".into(), self.inter.save_state()),
         ])

@@ -108,10 +108,10 @@ impl Prefetcher for Tree {
             .iter()
             .map(|chunk| {
                 let frontier = self.frontier.get(chunk).copied().unwrap_or(0);
-                Value::Arr(vec![Value::u64(*chunk), Value::u64(frontier)])
+                Value::arr(vec![Value::u64(*chunk), Value::u64(frontier)])
             })
             .collect();
-        Value::Obj(vec![("chunks".into(), Value::Arr(chunks))])
+        Value::obj(vec![("chunks".into(), Value::Arr(chunks))])
     }
 
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {

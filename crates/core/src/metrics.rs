@@ -104,7 +104,7 @@ impl MechanismReport {
     /// bit-exactly — the property the sweep manifest's byte-identical
     /// resume guarantee relies on.
     pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("mechanism".into(), Value::str(&self.mechanism)),
             ("app".into(), Value::str(&self.app)),
             ("ipc".into(), Value::f64(self.ipc)),

@@ -203,26 +203,26 @@ impl HeadTable {
             .map(|e| match e {
                 None => Value::Null,
                 Some((pc, addr)) => {
-                    Value::Arr(vec![Value::u64(u64::from(pc.0)), Value::u64(addr.raw())])
+                    Value::arr(vec![Value::u64(u64::from(pc.0)), Value::u64(addr.raw())])
                 }
             })
             .collect();
         let slot = |s: &Option<(WarpId, Address)>| match s {
             None => Value::Null,
-            Some((w, a)) => Value::Arr(vec![Value::u64(u64::from(w.0)), Value::u64(a.raw())]),
+            Some((w, a)) => Value::arr(vec![Value::u64(u64::from(w.0)), Value::u64(a.raw())]),
         };
         let rows = self
             .rows
             .iter()
             .map(|r| {
-                Value::Arr(vec![
+                Value::arr(vec![
                     r.pc.map_or(Value::Null, |pc| Value::u64(u64::from(pc.0))),
                     slot(&r.slots[0]),
                     slot(&r.slots[1]),
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("entries".into(), Value::Arr(entries)),
             ("rows".into(), Value::Arr(rows)),
         ])

@@ -251,7 +251,7 @@ impl Prefetcher for Snake {
     /// The telemetry buffer is not captured: checkpoints are taken at
     /// cycle boundaries, after the SM has drained it.
     fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("head".into(), self.head.save_state()),
             ("tail".into(), self.tail.save_state()),
             ("throttle".into(), self.throttle.save_state()),

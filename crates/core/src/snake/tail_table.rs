@@ -121,7 +121,7 @@ impl TailEntry {
     /// for a checkpoint.
     pub fn save_state(&self) -> Value {
         let opt_i64 = |s: Option<i64>| s.map_or(Value::Null, snapshot::i64_value);
-        Value::Obj(vec![
+        Value::obj(vec![
             ("pc1".into(), Value::u64(u64::from(self.pc1.0))),
             ("pc2".into(), Value::u64(u64::from(self.pc2.0))),
             (
@@ -137,7 +137,7 @@ impl TailEntry {
             (
                 "iw_base".into(),
                 self.iw_base.map_or(Value::Null, |(w, a)| {
-                    Value::Arr(vec![Value::u64(u64::from(w.0)), Value::u64(a.raw())])
+                    Value::arr(vec![Value::u64(u64::from(w.0)), Value::u64(a.raw())])
                 }),
             ),
             ("iw_candidate".into(), opt_i64(self.iw_candidate)),
@@ -291,7 +291,7 @@ impl TailTable {
     /// training cursors for a checkpoint. The configuration is not
     /// captured; restore requires a table built with the same config.
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             (
                 "entries".into(),
                 Value::Arr(self.entries.iter().map(TailEntry::save_state).collect()),

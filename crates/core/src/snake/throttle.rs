@@ -142,7 +142,7 @@ impl Throttle {
     /// Serializes the state machine for a checkpoint (the thresholds
     /// and `max_depth` are configuration and are not captured).
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             (
                 "space_halted_until".into(),
                 Value::u64(self.space_halted_until.0),

@@ -235,7 +235,7 @@ impl MshrFile {
         let entries = lines
             .into_iter()
             .map(|e| {
-                Value::Obj(vec![
+                Value::obj(vec![
                     ("line".into(), Value::u64(e.line.0)),
                     (
                         "origin".into(),
@@ -261,7 +261,7 @@ impl MshrFile {
                 ])
             })
             .collect();
-        Value::Obj(vec![("entries".into(), Value::Arr(entries))])
+        Value::obj(vec![("entries".into(), Value::Arr(entries))])
     }
 
     /// Restores the outstanding entries from [`save_state`]

@@ -317,7 +317,7 @@ impl TagArray {
             .lines
             .iter()
             .map(|l| {
-                Value::Arr(vec![
+                Value::arr(vec![
                     Value::u64(l.tag.0),
                     Value::u64(match l.state {
                         LineState::Invalid => 0,
@@ -335,7 +335,7 @@ impl TagArray {
                 ])
             })
             .collect();
-        Value::Obj(vec![("lines".into(), Value::Arr(lines))])
+        Value::obj(vec![("lines".into(), Value::Arr(lines))])
     }
 
     /// Restores every line from [`save_state`] and recomputes the

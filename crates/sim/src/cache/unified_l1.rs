@@ -773,7 +773,7 @@ impl UnifiedL1 {
     /// and profiling attachments are runtime-only (checkpoints are
     /// taken at a flushed cycle boundary, so their buffers are empty).
     pub fn save_state(&self) -> Value {
-        let mut fields = vec![
+        Value::obj(vec![
             ("tags".into(), self.tags.save_state()),
             (
                 "isolated".into(),
@@ -789,7 +789,7 @@ impl UnifiedL1 {
                     self.miss_queue
                         .iter()
                         .map(|r| {
-                            Value::Arr(vec![
+                            Value::arr(vec![
                                 Value::u64(r.line.0),
                                 Value::u64(match r.kind {
                                     RequestKind::ReadMiss => 0,
@@ -805,12 +805,11 @@ impl UnifiedL1 {
             ("transfer_numer".into(), Value::u64(self.transfer_numer)),
             ("transfer_denom".into(), Value::u64(self.transfer_denom)),
             ("overrun".into(), Value::Bool(self.overrun)),
-        ];
-        fields.push(("fault_stats".into(), self.fault_stats.save_state()));
-        fields.push(("stats".into(), self.stats.save_state()));
-        fields.push(("pf_stats".into(), self.pf_stats.save_state()));
-        fields.push(("lifecycle".into(), self.lifecycle.save_state()));
-        Value::Obj(fields)
+            ("fault_stats".into(), self.fault_stats.save_state()),
+            ("stats".into(), self.stats.save_state()),
+            ("pf_stats".into(), self.pf_stats.save_state()),
+            ("lifecycle".into(), self.lifecycle.save_state()),
+        ])
     }
 
     /// Restores the complete cache state from [`save_state`].

@@ -203,7 +203,7 @@ impl FaultInjector {
     /// Serializes the generator position and fired-fault counters for
     /// a checkpoint (the plan itself is config-derived).
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("state".into(), Value::u64(self.state)),
             ("stats".into(), self.stats.save_state()),
         ])

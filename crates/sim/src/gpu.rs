@@ -855,7 +855,7 @@ impl Gpu {
     /// windowed metrics) encode as `Null` when absent; the fingerprint
     /// guarantees presence agrees between capture and restore.
     fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("cycle".into(), Value::u64(self.cycle.0)),
             ("brownout_cycles".into(), Value::u64(self.brownout_cycles)),
             ("prev_brownout".into(), Value::Bool(self.prev_brownout)),

@@ -15,7 +15,14 @@
 //!   any other lexeme (`1e5`, `01`, `1.50`) is kept verbatim, so
 //!   write → parse → write is byte-stable for every accepted input;
 //! * object entries preserve insertion order, so a written manifest
-//!   line is byte-stable across write → parse → write.
+//!   line is byte-stable across write → parse → write;
+//! * a tree is compact: a [`Value`] node is 24 bytes, and strings,
+//!   arrays and objects are exact-size boxed slices with no growth
+//!   slack. A parsed checkpoint costs about 7 bytes of memory per byte
+//!   of text.
+//!
+//! [`parse`] is iterative, so hostile input cannot overflow the stack;
+//! it rejects nesting deeper than [`MAX_DEPTH`] containers.
 //!
 //! The parser accepts the non-standard lexemes `NaN`, `inf`, and
 //! `-inf` because that is how [`Value::f64`] (and Rust's `{:?}`) spells
@@ -33,18 +40,18 @@ pub enum Value {
     /// A number (see [`Num`] for the lossless round-trip rules).
     Num(Num),
     /// A string (unescaped).
-    Str(String),
+    Str(Box<str>),
     /// An array.
-    Arr(Vec<Value>),
+    Arr(Box<[Value]>),
     /// An object; entries keep insertion order.
-    Obj(Vec<(String, Value)>),
+    Obj(Box<[(Box<str>, Value)]>),
 }
 
 impl Value {
     /// Object field by key, if this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Value::Obj(entries) => entries.iter().find(|(k, _)| **k == *key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -110,9 +117,21 @@ impl Value {
         }
     }
 
-    /// Convenience constructor: a string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+    /// Convenience constructor: a string value (copied into an
+    /// exact-size allocation).
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Str(s.as_ref().into())
+    }
+
+    /// Convenience constructor: an array value (`vec!` allocates
+    /// exactly, so boxing it does not reallocate).
+    pub fn arr(items: Vec<Value>) -> Value {
+        Value::Arr(items.into_boxed_slice())
+    }
+
+    /// Convenience constructor: an object value, entries in order.
+    pub fn obj(entries: Vec<(Box<str>, Value)>) -> Value {
+        Value::Obj(entries.into_boxed_slice())
     }
 
     /// Convenience constructor: an unsigned integer value.
@@ -126,14 +145,16 @@ impl Value {
         Value::Num(Num::F(if v.is_nan() { f64::NAN } else { v }))
     }
 
-    /// Removes and returns the field `key`, if this is an object that
-    /// has it — moves a subtree out without cloning it.
+    /// Moves the field `key` out, if this is an object that has it —
+    /// a subtree taken without cloning it. The entry itself stays (an
+    /// object is a fixed-size slice) and holds [`Value::Null`]
+    /// afterwards, so the object then renders `"key":null`.
     pub fn take(&mut self, key: &str) -> Option<Value> {
         match self {
-            Value::Obj(entries) => {
-                let i = entries.iter().position(|(k, _)| k == key)?;
-                Some(entries.remove(i).1)
-            }
+            Value::Obj(entries) => entries
+                .iter_mut()
+                .find(|(k, _)| **k == *key)
+                .map(|(_, v)| std::mem::replace(v, Value::Null)),
             _ => None,
         }
     }
@@ -287,12 +308,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest container nesting [`parse`] accepts: an array or object
+/// opened inside 128 others is rejected with a [`ParseError`] at its
+/// opening bracket. The deepest document the workspace writes nests
+/// fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value, requiring the whole input to be consumed
 /// (trailing whitespace allowed).
 ///
+/// The parser is iterative: open containers live on an explicit stack
+/// and their elements in one shared scratch vector, and each container
+/// is moved into a single exact-size allocation when it closes.
+///
 /// # Errors
 ///
-/// Returns a [`ParseError`] naming the first offending byte offset.
+/// Returns a [`ParseError`] naming the first offending byte offset,
+/// including for nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -310,6 +342,13 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+}
+
+/// An open container: where its elements start in the scratch vector.
+#[derive(Clone, Copy)]
+enum Open {
+    Arr(usize),
+    Obj(usize),
 }
 
 impl<'a> Parser<'a> {
@@ -348,10 +387,93 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one value of any depth. `open` holds the containers not
+    /// yet closed, innermost last; `items` the elements parsed so far
+    /// of all of them, and `keys` the keys of the open objects' entries
+    /// (an object's `i`-th key belongs to its `i`-th element).
     fn value(&mut self) -> Result<Value, ParseError> {
+        let mut open: Vec<Open> = Vec::new();
+        let mut items: Vec<Value> = Vec::new();
+        let mut keys: Vec<Box<str>> = Vec::new();
+        loop {
+            let mut v = match self.peek() {
+                Some(b @ (b'[' | b'{')) => {
+                    if open.len() == MAX_DEPTH {
+                        return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                    }
+                    self.pos += 1;
+                    self.skip_ws();
+                    match (b, self.peek()) {
+                        (b'[', Some(b']')) => {
+                            self.pos += 1;
+                            Value::Arr(Box::default())
+                        }
+                        (b'{', Some(b'}')) => {
+                            self.pos += 1;
+                            Value::Obj(Box::default())
+                        }
+                        (b'[', _) => {
+                            open.push(Open::Arr(items.len()));
+                            continue;
+                        }
+                        _ => {
+                            open.push(Open::Obj(items.len()));
+                            keys.push(self.key()?);
+                            continue;
+                        }
+                    }
+                }
+                _ => self.scalar()?,
+            };
+            // `v` is complete: file it under its container, then close
+            // every container that ends right after it.
+            loop {
+                let Some(&top) = open.last() else {
+                    return Ok(v);
+                };
+                items.push(v);
+                self.skip_ws();
+                match (top, self.peek()) {
+                    (Open::Arr(_), Some(b',')) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        break;
+                    }
+                    (Open::Obj(_), Some(b',')) => {
+                        self.pos += 1;
+                        keys.push(self.key()?);
+                        break;
+                    }
+                    (Open::Arr(start), Some(b']')) => {
+                        self.pos += 1;
+                        v = Value::Arr(items.drain(start..).collect());
+                    }
+                    (Open::Obj(start), Some(b'}')) => {
+                        self.pos += 1;
+                        let first_key = keys.len() - (items.len() - start);
+                        v = Value::Obj(keys.drain(first_key..).zip(items.drain(start..)).collect());
+                    }
+                    (Open::Arr(_), _) => return Err(self.err("expected ',' or ']'")),
+                    (Open::Obj(_), _) => return Err(self.err("expected ',' or '}'")),
+                }
+                open.pop();
+            }
+        }
+    }
+
+    /// An object entry's key and its `:`, with the whitespace around
+    /// them.
+    fn key(&mut self) -> Result<Box<str>, ParseError> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    fn scalar(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -367,68 +489,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<Box<str>, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote or escape, copied in one
+            // piece: `"` and `\` are ASCII, so it never splits a UTF-8
+            // scalar of the input.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is a &str");
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+                // No escapes: one allocation of exactly the run's length.
+                Some(b'"') if out.is_empty() => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(run.into());
                 }
-                Some(b'\\') => {
+                Some(b'"') => {
+                    out.push_str(run);
+                    self.pos += 1;
+                    return Ok(out.into_boxed_str());
+                }
+                Some(_) => {
+                    // `\`: an escape.
+                    out.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -459,15 +546,6 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
     }
@@ -496,6 +574,8 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn scalar_round_trips() {
@@ -674,17 +754,174 @@ mod tests {
         let v = Value::str(nasty);
         let back = parse(&v.to_string()).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+        let escapes = parse(r#""\/\b\f\u00e9λ\"""#).unwrap();
+        assert_eq!(escapes.as_str(), Some("/\u{8}\u{c}éλ\""));
+    }
+
+    /// Message and offset for malformed inputs, pinned from the
+    /// recursive parser the iterative one replaced.
+    #[test]
+    fn errors_carry_offsets() {
+        let table: &[(&str, &str, usize)] = &[
+            ("", "unexpected end of input", 0),
+            ("   ", "unexpected end of input", 3),
+            ("[1,2", "expected ',' or ']'", 4),
+            ("[1,2,]", "unexpected byte ']'", 5),
+            ("[1 2]", "expected ',' or ']'", 3),
+            ("{\"a\":}", "unexpected byte '}'", 5),
+            ("{\"a\" 1}", "expected ':'", 5),
+            ("{a:1}", "expected '\"'", 1),
+            ("{\"a\":1,}", "expected '\"'", 7),
+            ("{\"a\":1", "expected ',' or '}'", 6),
+            ("12 34", "trailing data after value", 3),
+            ("\"open", "unterminated string", 5),
+            ("-", "malformed number", 1),
+            ("tru", "expected true", 0),
+            ("nul", "expected null", 0),
+            ("[NaN,nope]", "expected null", 5),
+            ("\"bad \\x\"", "bad escape", 6),
+            ("\"\\u12\"", "truncated \\u escape", 2),
+            ("\"\\ud800\"", "\\u escape is not a scalar", 2),
+            ("1.2.3", "malformed number \"1.2.3\"", 5),
+            ("--1", "malformed number \"--1\"", 3),
+            ("]", "unexpected byte ']'", 0),
+            ("}", "unexpected byte '}'", 0),
+            ("[}", "unexpected byte '}'", 1),
+            ("{]", "expected '\"'", 1),
+            ("[1,{\"a\":[tru]}]", "expected true", 9),
+            ("{\"a\":1}}", "trailing data after value", 7),
+            (",", "unexpected byte ','", 0),
+            ("[\"a\":1]", "expected ',' or ']'", 4),
+            ("{\"a\":1 \"b\":2}", "expected ',' or '}'", 7),
+            ("{1:2}", "expected '\"'", 1),
+            ("\"\\u00zz\"", "bad \\u escape", 2),
+            ("\"\\u000\u{e9}\"", "non-ascii \\u escape", 2),
+            ("[-]", "malformed number", 2),
+            ("{\"a\":1,\"b\"}", "expected ':'", 10),
+            ("[[[]]", "expected ',' or ']'", 5),
+            ("[1,", "unexpected end of input", 3),
+            ("{\"a\"", "expected ':'", 4),
+            ("{\"a\":", "unexpected end of input", 5),
+            ("[\"x", "unterminated string", 3),
+            ("-in", "malformed number", 1),
+            ("[1e5e]", "malformed number \"1e5e\"", 5),
+            ("{\"k\":[1,2]]", "expected ',' or '}'", 10),
+            (" [ 1 , ] ", "unexpected byte ']'", 7),
+        ];
+        for &(src, msg, offset) in table {
+            let e = parse(src).unwrap_err();
+            assert_eq!((e.msg.as_str(), e.offset), (msg, offset), "{src:?}");
+        }
     }
 
     #[test]
-    fn errors_carry_offsets() {
-        let e = parse("{\"a\":}").unwrap_err();
-        assert_eq!(e.offset, 5);
-        assert!(parse("").is_err());
-        assert!(parse("[1,2").is_err());
-        assert!(parse("12 34").unwrap_err().msg.contains("trailing"));
-        assert!(parse("\"open").is_err());
-        assert!(parse("-").is_err());
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        let too_deep = format!("nesting deeper than {MAX_DEPTH} levels");
+        let e = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.msg.as_str(), e.offset), (too_deep.as_str(), MAX_DEPTH));
+        let e = parse(&nest("{\"k\":", "}", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (e.msg.as_str(), e.offset),
+            (too_deep.as_str(), 5 * MAX_DEPTH)
+        );
+        // An empty container counts as a level too.
+        let e = parse(&format!(
+            "{}[]{}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ))
+        .unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        // Hostile input is an error, not a stack overflow.
+        let e = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&"[".repeat(100_000)).unwrap_err())
+            .unwrap()
+            .join()
+            .expect("parser thread must not overflow its stack");
+        assert_eq!((e.msg, e.offset), (too_deep, MAX_DEPTH));
+    }
+
+    #[test]
+    fn values_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<(Box<str>, Value)>(), 40);
+    }
+
+    #[test]
+    fn take_moves_the_field_out_and_leaves_null() {
+        let mut v = parse(r#"{"a":[1,2],"b":"x"}"#).unwrap();
+        assert_eq!(v.take("a").unwrap().to_string(), "[1,2]");
+        assert_eq!(v.get("a"), Some(&Value::Null));
+        assert_eq!(v.to_string(), r#"{"a":null,"b":"x"}"#);
+        assert_eq!(v.take("missing"), None);
+        assert_eq!(Value::u64(1).take("a"), None);
+    }
+
+    /// A random tree over every shape the codec distinguishes.
+    fn random_tree(rng: &mut ChaCha8Rng, depth: u32) -> Value {
+        const LEXEMES: &[&str] = &[
+            "1e5",
+            "01",
+            "-0",
+            "1.50",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "340282366920938463463374607431768211456",
+            "NaN",
+            "inf",
+            "-inf",
+            "-0.0",
+        ];
+        const CHARS: &[char] = &[
+            'a', 'Z', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'λ', '∞', ' ',
+        ];
+        let text = |rng: &mut ChaCha8Rng| -> String {
+            let len = rng.gen_range(0..6);
+            (0..len)
+                .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                .collect()
+        };
+        let container = depth > 0 && rng.gen_bool(0.4);
+        let len = rng.gen_range(0..5usize);
+        match rng.gen_range(0..if container { 2 } else { 7 }) {
+            0 if container => Value::Arr((0..len).map(|_| random_tree(rng, depth - 1)).collect()),
+            1 if container => Value::Obj(
+                (0..len)
+                    .map(|_| (text(rng).into(), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen()),
+            2 => Value::u64(if rng.gen() {
+                rng.gen()
+            } else {
+                rng.gen_range(0..1000)
+            }),
+            3 => Value::Num(Num::I(
+                -rng.gen_range(1..=i64::MAX) - i64::from(rng.gen::<bool>()),
+            )),
+            4 => Value::f64(f64::from_bits(rng.gen())),
+            5 => parse(LEXEMES[rng.gen_range(0..LEXEMES.len())]).unwrap(),
+            _ => Value::str(text(rng)),
+        }
+    }
+
+    #[test]
+    fn random_trees_round_trip_byte_stably() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x150_0c0de);
+        for _ in 0..2_000 {
+            let v = random_tree(&mut rng, 5);
+            let text = v.to_string();
+            let back = parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(back.to_string(), text);
+            assert_eq!(back, v, "{text}");
+        }
     }
 
     #[test]

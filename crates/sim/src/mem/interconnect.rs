@@ -99,12 +99,14 @@ impl<T> Channel<T> {
             .in_flight
             .iter()
             .map(|(ready, pkt)| {
-                let mut row = vec![Value::u64(ready.0)];
-                row.extend(enc(pkt));
-                Value::Arr(row)
+                Value::Arr(
+                    std::iter::once(Value::u64(ready.0))
+                        .chain(enc(pkt))
+                        .collect(),
+                )
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("effective_budget".into(), Value::u64(self.effective_budget)),
             ("credit".into(), snapshot::i64_value(self.credit)),
             ("in_flight".into(), Value::Arr(in_flight)),
@@ -376,7 +378,7 @@ impl Interconnect {
     /// profiling attachments are runtime-only (the trace buffer is
     /// drained every cycle, so it is empty at a checkpoint boundary).
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             (
                 "up".into(),
                 self.up.save_state(|p| {

@@ -375,18 +375,18 @@ impl MemoryPartition {
     /// empty at a checkpoint boundary).
     pub fn save_state(&self) -> Value {
         let read =
-            |r: &PendingRead| Value::Arr(vec![Value::u64(u64::from(r.sm.0)), Value::u64(r.line.0)]);
+            |r: &PendingRead| Value::arr(vec![Value::u64(u64::from(r.sm.0)), Value::u64(r.line.0)]);
         let pkt =
-            |p: &DownPacket| Value::Arr(vec![Value::u64(u64::from(p.sm.0)), Value::u64(p.line.0)]);
+            |p: &DownPacket| Value::arr(vec![Value::u64(u64::from(p.sm.0)), Value::u64(p.line.0)]);
         let timed_read = |(ready, r): &(Cycle, PendingRead)| {
-            Value::Arr(vec![
+            Value::arr(vec![
                 Value::u64(ready.0),
                 Value::u64(u64::from(r.sm.0)),
                 Value::u64(r.line.0),
             ])
         };
         let timed_pkt = |(ready, p): &(Cycle, DownPacket)| {
-            Value::Arr(vec![
+            Value::arr(vec![
                 Value::u64(ready.0),
                 Value::u64(u64::from(p.sm.0)),
                 Value::u64(p.line.0),
@@ -397,13 +397,13 @@ impl MemoryPartition {
         let merges = merges
             .into_iter()
             .map(|(line, sms)| {
-                Value::Arr(vec![
+                Value::arr(vec![
                     Value::u64(line.0),
                     Value::Arr(sms.iter().map(|s| Value::u64(u64::from(s.0))).collect()),
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("l2".into(), self.l2.save_state()),
             ("dram_credit".into(), Value::u64(self.dram_credit)),
             (

@@ -151,7 +151,7 @@ impl LatencyHistogram {
 
     /// Serializes the histogram for a checkpoint.
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             (
                 "buckets".into(),
                 Value::Arr(self.buckets.iter().map(|&b| Value::u64(b)).collect()),
@@ -232,7 +232,7 @@ impl PrefetchLifecycle {
 
     /// Serializes all three histograms for a checkpoint.
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("issue_to_fill".into(), self.issue_to_fill.save_state()),
             (
                 "fill_to_first_use".into(),

@@ -319,7 +319,7 @@ impl WindowedMetrics {
             .samples
             .iter()
             .map(|s| {
-                Value::Arr(vec![
+                Value::arr(vec![
                     Value::u64(s.cycle),
                     Value::f64(s.ipc),
                     Value::f64(s.l1_hit_rate),
@@ -340,7 +340,7 @@ impl WindowedMetrics {
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("samples".into(), Value::Arr(samples)),
             (
                 "stop".into(),

@@ -96,7 +96,7 @@ impl Scheduler {
     /// Serializes the pick state for a checkpoint (the policy is
     /// config-derived and not captured).
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![(
+        Value::obj(vec![(
             "current".into(),
             snapshot::opt_u64_value(self.current.map(|c| c as u64)),
         )])

@@ -676,13 +676,13 @@ impl Sm {
             .cta_queue
             .iter()
             .map(|c| {
-                Value::Arr(vec![
+                Value::arr(vec![
                     Value::u64(u64::from(c.cta.0)),
                     Value::Arr(c.warps.iter().map(|&w| Value::u64(w as u64)).collect()),
                 ])
             })
             .collect();
-        Value::Obj(vec![
+        Value::obj(vec![
             ("slots".into(), Value::Arr(slots)),
             (
                 "schedulers".into(),

@@ -216,6 +216,8 @@ impl Checkpoint {
         }
         let fingerprint = u64_field(&v, "fingerprint")?;
         let crc = u64_field(&v, "crc")?;
+        // `take` moves the state out and leaves `null` in `v`, which is
+        // dropped unread: the crc is checked over the moved-out state.
         let state = v
             .take("state")
             .ok_or_else(|| SnapshotError::malformed("missing field \"state\""))?;
@@ -417,7 +419,7 @@ pub fn first_divergence(a: &Value, b: &Value) -> Option<String> {
                     if ka != kb {
                         return Some(format!("{}/{ka}≠{kb}", path.join("/")));
                     }
-                    path.push(ka.clone());
+                    path.push(ka.to_string());
                     if let Some(hit) = walk(va, vb, path) {
                         return Some(hit);
                     }
@@ -477,7 +479,7 @@ mod tests {
     fn sample() -> Checkpoint {
         Checkpoint {
             fingerprint: 0xDEAD_BEEF_0123_4567,
-            state: Value::Obj(vec![
+            state: Value::obj(vec![
                 ("cycle".into(), Value::u64(41)),
                 ("ipc".into(), Value::f64(1.0 / 3.0)),
             ]),
@@ -560,7 +562,7 @@ mod tests {
 
     #[test]
     fn field_accessors_report_the_key() {
-        let v = Value::Obj(vec![("a".into(), Value::u64(1))]);
+        let v = Value::obj(vec![("a".into(), Value::u64(1))]);
         assert_eq!(u64_field(&v, "a").unwrap(), 1);
         let err = u64_field(&v, "b").unwrap_err();
         assert!(err.to_string().contains("\"b\""), "{err}");

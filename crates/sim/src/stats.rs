@@ -16,7 +16,7 @@ macro_rules! persist_u64_fields {
         impl $ty {
             /// Serializes every counter for a checkpoint.
             pub fn save_state(&self) -> Value {
-                Value::Obj(vec![
+                Value::obj(vec![
                     $((stringify!($field).into(), Value::u64(self.$field)),)+
                 ])
             }
@@ -469,7 +469,7 @@ impl SimStats {
     /// Serializes every counter (including the nested cache, prefetch,
     /// and fault blocks) for a checkpoint.
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
+        Value::obj(vec![
             ("cycles".into(), Value::u64(self.cycles)),
             ("instructions".into(), Value::u64(self.instructions)),
             ("demand_loads".into(), Value::u64(self.demand_loads)),
@@ -621,7 +621,7 @@ mod tests {
             .unwrap();
         assert_eq!(back, c);
         assert_eq!(back.save_state().to_string(), text);
-        assert!(back.restore_state(&Value::Obj(vec![])).is_err());
+        assert!(back.restore_state(&Value::obj(vec![])).is_err());
     }
 
     #[test]

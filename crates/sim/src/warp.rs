@@ -131,7 +131,7 @@ impl WarpSlot {
             WarpState::Busy(until) => Value::u64(until.0),
             WarpState::Waiting => Value::Bool(true),
         };
-        Value::Obj(vec![
+        Value::obj(vec![
             ("cta".into(), Value::u64(u64::from(self.cta.0))),
             ("trace_idx".into(), Value::u64(self.trace_idx as u64)),
             ("launch_seq".into(), Value::u64(self.launch_seq)),

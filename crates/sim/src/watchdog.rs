@@ -59,7 +59,7 @@ impl Watchdog {
     /// Serializes the progress counter for a checkpoint (the
     /// threshold is config-derived and not captured).
     pub fn save_state(&self) -> Value {
-        Value::Obj(vec![(
+        Value::obj(vec![(
             "last_progress".into(),
             Value::u64(self.last_progress.0),
         )])

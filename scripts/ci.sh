@@ -16,6 +16,12 @@ cargo test --workspace -q
 echo "==> cargo test (optimized build: sandbox timing and checkpoint bytes)"
 cargo test --release -p snake-bench --test executor --test checkpoint -q
 
+echo "==> perfbench (builds the benchmark against the crates' public API, runs its tests)"
+# perfbench is a package of its own, outside the workspace: the steps
+# above never compile it, so a public-API change in crates/ could break
+# the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> cargo test (audit feature)"
 cargo test -p snake-sim --features audit -q
 
