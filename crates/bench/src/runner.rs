@@ -1,15 +1,17 @@
 //! Shared run harness: configuration, simulation, and report rows.
 
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 use snake_core::{MechanismReport, PrefetcherKind};
 use snake_sim::snapshot::Checkpoint;
 use snake_sim::{
     Cycle, EnergyModel, Gpu, GpuConfig, HostProfile, KernelTrace, Prefetcher, SimError, SimOutcome,
-    SmId, StopReason, TelemetryRing,
+    SmId, StopReason,
 };
 use snake_workloads::{Benchmark, WorkloadSize};
+
+use crate::supervise::ExecContext;
 
 /// The experiment harness: one GPU configuration, one workload size,
 /// one energy model, shared by every figure.
@@ -37,10 +39,10 @@ pub struct RunOutput {
     pub host: Option<HostProfile>,
 }
 
-/// What [`Harness::run_job_managed`] produced: either a finished run,
-/// or a mid-simulation suspension whose state is now durable in a
+/// What [`Harness::run_job_with`] produced: a finished run, a
+/// mid-simulation suspension whose state is now durable in a
 /// checkpoint file (resume it by passing the path back as
-/// `resume_from`).
+/// `resume_from`), or a cancellation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobRun {
     /// The simulation ran (or resumed) to its stop reason.
@@ -54,7 +56,7 @@ pub enum JobRun {
         checkpoint: String,
     },
     /// The job was cancelled before or during its simulation (daemon
-    /// cancellation, see [`Harness::run_job_live`]); no report was
+    /// cancellation, see [`ExecContext::cancel`]); no report was
     /// produced and no state was saved. The supervisor records it as
     /// skipped and never retries it.
     Cancelled,
@@ -107,198 +109,106 @@ impl Harness {
     }
 
     /// Runs one benchmark under one mechanism, keeping the stop reason
-    /// alongside the report (the sweep supervisor's entry point).
+    /// alongside the report: [`Harness::run_job_with`] under a default
+    /// context.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when the harness configuration is invalid.
     pub fn run_job(&self, bench: Benchmark, kind: PrefetcherKind) -> Result<RunOutput, SimError> {
-        let kernel = bench.build(&self.size);
-        let warps = self.cfg.max_warps_per_sm;
-        let outcome = self.simulate(&kernel, |_| kind.build(warps))?;
-        Ok(self.job_output(kind, &kernel, outcome))
-    }
-
-    /// Runs one job with mid-simulation suspend/resume support — the
-    /// supervisor's preemption entry point.
-    ///
-    /// * `resume_from` — restore the complete simulator state from a
-    ///   checkpoint written by an earlier suspension, then continue.
-    /// * `suspend` — polled once per simulated cycle; returning `true`
-    ///   checkpoints the state atomically to `checkpoint_to` and
-    ///   returns [`JobRun::Suspended`]. With `checkpoint_to = None`
-    ///   suspension is disabled and the policy is never consulted (the
-    ///   run is indistinguishable from [`Harness::run_job`]).
-    ///
-    /// Restoring is fingerprint-checked: a checkpoint from a different
-    /// configuration, kernel, or mechanism is a typed error, and the
-    /// device is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for an invalid configuration or an
-    /// unusable / mismatched checkpoint.
-    pub fn run_job_managed(
-        &self,
-        bench: Benchmark,
-        kind: PrefetcherKind,
-        resume_from: Option<&Path>,
-        checkpoint_to: Option<&Path>,
-        mut suspend: impl FnMut(Cycle) -> bool,
-    ) -> Result<JobRun, SimError> {
-        let kernel = bench.build(&self.size);
-        let warps = self.cfg.max_warps_per_sm;
-        let mut gpu = Gpu::new(self.cfg.clone(), kernel.clone(), |_| kind.build(warps))?;
-        if let Some(path) = resume_from {
-            let ckpt = Checkpoint::load(path)?;
-            gpu.restore(&ckpt)?;
-        }
-        let Some(ckpt_path) = checkpoint_to else {
-            let out = self.job_output(kind, &kernel, gpu.run());
-            return Ok(JobRun::Finished(Box::new(out)));
-        };
-        let mut at = Cycle::ZERO;
-        match gpu.run_interruptible(|c| {
-            at = c;
-            suspend(c)
-        }) {
-            Some(outcome) => Ok(JobRun::Finished(Box::new(
-                self.job_output(kind, &kernel, outcome),
-            ))),
-            None => {
-                gpu.checkpoint().write_atomic(ckpt_path)?;
-                Ok(JobRun::Suspended {
-                    cycle: at.0,
-                    checkpoint: ckpt_path.display().to_string(),
-                })
-            }
+        match self.run_job_with(bench, kind, &ExecContext::default(), |_, _| {})? {
+            JobRun::Finished(out) => Ok(*out),
+            other => unreachable!("a default context never suspends or cancels: {other:?}"),
         }
     }
 
-    /// Runs one job while publishing live telemetry: per-window metric
-    /// rows (and, with `include_events`, the full trace-event stream)
-    /// are pushed into `ring` as the simulation advances — the
-    /// `snaked` daemon's entry point. `cancel` is polled once per
-    /// cycle; setting it abandons the run and returns
-    /// [`JobRun::Cancelled`].
+    /// Runs one job under an execution context — the one entry point
+    /// behind the sweep supervisor, the `snaked` daemon and the
+    /// `--exec-job` worker.
     ///
-    /// With no ring subscribers the push path never constructs a
-    /// record, so the outcome (and the report built from it) is
-    /// bit-identical to [`Harness::run_job`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the harness configuration is invalid.
-    pub fn run_job_live(
-        &self,
-        bench: Benchmark,
-        kind: PrefetcherKind,
-        ring: &TelemetryRing,
-        include_events: bool,
-        cancel: &AtomicBool,
-    ) -> Result<JobRun, SimError> {
-        if cancel.load(Ordering::Relaxed) {
-            return Ok(JobRun::Cancelled);
-        }
-        let kernel = bench.build(&self.size);
-        let warps = self.cfg.max_warps_per_sm;
-        let mut gpu = Gpu::new(self.cfg.clone(), kernel.clone(), |_| kind.build(warps))?;
-        gpu.attach_telemetry(ring, include_events);
-        match gpu.run_interruptible(|_| cancel.load(Ordering::Relaxed)) {
-            Some(outcome) => Ok(JobRun::Finished(Box::new(
-                self.job_output(kind, &kernel, outcome),
-            ))),
-            None => Ok(JobRun::Cancelled),
-        }
-    }
-
-    /// Runs one job with the full daemon service surface: live
-    /// telemetry ([`Harness::run_job_live`]) plus checkpoint/resume
-    /// and deadline suspension ([`Harness::run_job_managed`]) in a
-    /// single pass — the `snaked` scheduler's entry point.
-    ///
-    /// * `resume_from` — restore the complete simulator state from an
-    ///   earlier checkpoint, then continue.
-    /// * `checkpoint_to` — where periodic mid-simulation checkpoints
-    ///   go, every [`GpuConfig::checkpoint_every`] cycles (both must
-    ///   be set for any checkpointing to happen); `on_checkpoint(cycle,
-    ///   bytes)` fires after each write is durable, so the caller can
-    ///   journal the artifact before anything else can crash.
-    /// * `deadline` — a wall-clock slice budget: once it passes (and
-    ///   checkpointing is enabled), the run suspends at the next check,
-    ///   writes a final checkpoint, and returns [`JobRun::Suspended`].
-    /// * `cancel` — polled once per cycle; cancellation *wins* every
-    ///   race with the deadline: a run that stops because the flag was
-    ///   set returns [`JobRun::Cancelled`] and writes no final
-    ///   checkpoint, so a cancelled job never leaves a fresh resume
+    /// * `ctx.resume_from` — restore the complete simulator state from
+    ///   a checkpoint, then continue. Restoring is fingerprint-checked:
+    ///   a checkpoint from a different configuration, kernel, or
+    ///   mechanism is a typed error.
+    /// * `ctx.checkpoint_to` — where checkpoints go. Without it the run
+    ///   never suspends and never writes.
+    /// * [`GpuConfig::checkpoint_every`] — with `checkpoint_to`, a
+    ///   periodic checkpoint every this many cycles.
+    /// * `ctx.suspend_after` / `ctx.deadline` — with `checkpoint_to`,
+    ///   suspend at that cycle / once the wall clock (polled every 1024
+    ///   cycles) passes: the state is checkpointed and the run returns
+    ///   [`JobRun::Suspended`].
+    /// * `ctx.cancel` — polled every cycle. Cancellation wins every
+    ///   race: the run returns [`JobRun::Cancelled`] and writes
+    ///   nothing, so a cancelled job never leaves a fresh resume
     ///   artifact behind.
+    /// * `ctx.ring` — live telemetry: per-window metric rows and, with
+    ///   `ctx.include_events`, the trace-event stream. With no ring
+    ///   subscribers the report is bit-identical to an untapped run.
+    ///
+    /// `on_checkpoint(cycle, bytes)` fires after every durable write,
+    /// so the caller can journal the artifact before anything else can
+    /// crash.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for an invalid configuration, an unusable
     /// or mismatched resume checkpoint, or a failed checkpoint write.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_job_serviced(
+    pub fn run_job_with(
         &self,
         bench: Benchmark,
         kind: PrefetcherKind,
-        ring: &TelemetryRing,
-        include_events: bool,
-        cancel: &AtomicBool,
-        resume_from: Option<&Path>,
-        checkpoint_to: Option<&Path>,
-        deadline: Option<std::time::Instant>,
+        ctx: &ExecContext<'_>,
         mut on_checkpoint: impl FnMut(u64, u64),
     ) -> Result<JobRun, SimError> {
-        if cancel.load(Ordering::Relaxed) {
+        let cancelled = || ctx.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+        if cancelled() {
             return Ok(JobRun::Cancelled);
         }
         let kernel = bench.build(&self.size);
         let warps = self.cfg.max_warps_per_sm;
         let mut gpu = Gpu::new(self.cfg.clone(), kernel.clone(), |_| kind.build(warps))?;
-        if let Some(path) = resume_from {
-            let ckpt = Checkpoint::load(path)?;
-            gpu.restore(&ckpt)?;
+        if let Some(path) = ctx.resume_from {
+            gpu.restore(&Checkpoint::load(path)?)?;
         }
-        gpu.attach_telemetry(ring, include_events);
-        let ckpt = match (checkpoint_to, self.cfg.checkpoint_every) {
-            (Some(path), Some(every)) => Some((path, every)),
-            _ => None,
+        if let Some(ring) = ctx.ring {
+            gpu.attach_telemetry(ring, ctx.include_events);
+        }
+        let every = ctx.checkpoint_to.and(self.cfg.checkpoint_every);
+        let suspend_due = |c: Cycle| {
+            ctx.checkpoint_to.is_some()
+                && (ctx.suspend_after.is_some_and(|n| c.0 >= n)
+                    || (c.0.is_multiple_of(1024)
+                        && ctx.deadline.is_some_and(|d| Instant::now() >= d)))
         };
-        let can_suspend = ckpt.is_some() && deadline.is_some();
-        let mut at = Cycle::ZERO;
-        let mut hit_deadline = false;
-        let outcome = gpu.run_serviced(ckpt, &mut on_checkpoint, |c| {
-            at = c;
-            if cancel.load(Ordering::Relaxed) {
-                return true;
-            }
-            // The deadline only matters at millisecond scale; checking
-            // the clock every cycle would dominate the simulation.
-            if can_suspend && c.0.is_multiple_of(1024) {
-                if let Some(dl) = deadline {
-                    if std::time::Instant::now() >= dl {
-                        hit_deadline = true;
-                        return true;
-                    }
+        loop {
+            let mut suspend = false;
+            let outcome = gpu.run_interruptible(|c| {
+                if cancelled() {
+                    return true;
                 }
+                suspend = suspend_due(c);
+                suspend || every.is_some_and(|n| c.0.is_multiple_of(n))
+            });
+            if let Some(outcome) = outcome {
+                let out = self.job_output(kind, &kernel, outcome);
+                return Ok(JobRun::Finished(Box::new(out)));
             }
-            false
-        })?;
-        match outcome {
-            Some(outcome) => Ok(JobRun::Finished(Box::new(
-                self.job_output(kind, &kernel, outcome),
-            ))),
-            None if hit_deadline && !cancel.load(Ordering::Relaxed) => {
-                let (path, _) = ckpt.expect("deadline suspension requires checkpointing");
-                let bytes = gpu.checkpoint().write_atomic(path)?;
-                on_checkpoint(at.0, bytes);
-                Ok(JobRun::Suspended {
-                    cycle: at.0,
+            if cancelled() {
+                return Ok(JobRun::Cancelled);
+            }
+            let path = ctx
+                .checkpoint_to
+                .expect("only a checkpointing run stops for a write");
+            let cycle = gpu.cycle().0;
+            let bytes = gpu.save_checkpoint(path)?;
+            on_checkpoint(cycle, bytes);
+            if suspend {
+                return Ok(JobRun::Suspended {
+                    cycle,
                     checkpoint: path.display().to_string(),
-                })
+                });
             }
-            None => Ok(JobRun::Cancelled),
         }
     }
 
@@ -450,28 +360,25 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("snake-runner-suspend-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("job.ckpt");
+        let ctx = ExecContext {
+            checkpoint_to: Some(&ckpt),
+            suspend_after: Some(200),
+            ..ExecContext::default()
+        };
         let run = h
-            .run_job_managed(
-                Benchmark::Lps,
-                PrefetcherKind::Snake,
-                None,
-                Some(&ckpt),
-                |c| c.0 >= 200,
-            )
+            .run_job_with(Benchmark::Lps, PrefetcherKind::Snake, &ctx, |_, _| {})
             .unwrap();
         let JobRun::Suspended { cycle, checkpoint } = run else {
             panic!("expected suspension, got {run:?}");
         };
         assert!(cycle >= 200, "suspended at cycle {cycle}");
         assert_eq!(checkpoint, ckpt.display().to_string());
+        let ctx = ExecContext {
+            resume_from: Some(&ckpt),
+            ..ExecContext::default()
+        };
         let resumed = h
-            .run_job_managed(
-                Benchmark::Lps,
-                PrefetcherKind::Snake,
-                Some(&ckpt),
-                None,
-                |_| false,
-            )
+            .run_job_with(Benchmark::Lps, PrefetcherKind::Snake, &ctx, |_, _| {})
             .unwrap();
         assert_eq!(resumed, JobRun::Finished(Box::new(full)));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -484,22 +391,19 @@ mod tests {
             std::env::temp_dir().join(format!("snake-runner-mismatch-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("job.ckpt");
-        h.run_job_managed(
-            Benchmark::Lps,
-            PrefetcherKind::Snake,
-            None,
-            Some(&ckpt),
-            |c| c.0 >= 100,
-        )
-        .unwrap();
+        let suspend = ExecContext {
+            checkpoint_to: Some(&ckpt),
+            suspend_after: Some(100),
+            ..ExecContext::default()
+        };
+        h.run_job_with(Benchmark::Lps, PrefetcherKind::Snake, &suspend, |_, _| {})
+            .unwrap();
+        let resume = ExecContext {
+            resume_from: Some(&ckpt),
+            ..ExecContext::default()
+        };
         let err = h
-            .run_job_managed(
-                Benchmark::Lps,
-                PrefetcherKind::Mta,
-                Some(&ckpt),
-                None,
-                |_| false,
-            )
+            .run_job_with(Benchmark::Lps, PrefetcherKind::Mta, &resume, |_, _| {})
             .unwrap_err();
         assert!(
             matches!(

@@ -256,11 +256,11 @@ pub struct ExecContext<'a> {
     /// Where checkpoints (periodic and suspension) are written.
     pub checkpoint_to: Option<&'a Path>,
     /// Suspend once the simulation reaches this cycle (test knob,
-    /// `repro --suspend-after`).
+    /// `repro --suspend-after`); needs `checkpoint_to`.
     pub suspend_after: Option<u64>,
-    /// Wall-clock deadline: the in-thread path suspends cooperatively,
-    /// the sandbox kills the child and resumes from its newest
-    /// checkpoint.
+    /// Wall-clock deadline: the in-thread path suspends cooperatively
+    /// (needs `checkpoint_to`), the sandbox kills the child and
+    /// resumes from its newest checkpoint.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation flag (daemon `cancel`); the sandbox
     /// polls it and kills the child.
@@ -365,62 +365,15 @@ impl JobExecutor {
     }
 }
 
-/// The in-thread implementation: the serviced path when live services
-/// (ring/cancellation) are attached, the managed path otherwise —
-/// byte-for-byte the behavior the supervisor and daemon had before
-/// executors existed.
+/// The in-thread implementation: the job runs on the calling thread.
 fn run_in_thread(
     h: &Harness,
     job: &JobSpec,
     ctx: &ExecContext<'_>,
     on_checkpoint: &mut dyn FnMut(u64, u64),
 ) -> Result<JobRun, ExecError> {
-    if ctx.ring.is_some() || ctx.cancel.is_some() {
-        let local_ring;
-        let ring = match ctx.ring {
-            Some(r) => r,
-            None => {
-                local_ring = TelemetryRing::new(1);
-                &local_ring
-            }
-        };
-        let local_cancel;
-        let cancel = match ctx.cancel {
-            Some(c) => c,
-            None => {
-                local_cancel = AtomicBool::new(false);
-                &local_cancel
-            }
-        };
-        h.run_job_serviced(
-            job.bench,
-            job.kind,
-            ring,
-            ctx.include_events,
-            cancel,
-            ctx.resume_from,
-            ctx.checkpoint_to,
-            ctx.deadline,
-            on_checkpoint,
-        )
+    h.run_job_with(job.bench, job.kind, ctx, on_checkpoint)
         .map_err(ExecError::from)
-    } else {
-        let suspend_cycle = ctx.suspend_after;
-        let deadline = ctx.deadline;
-        // Poll the wall clock every 1024 cycles only; the cycle-count
-        // trigger stays exact for determinism.
-        h.run_job_managed(
-            job.bench,
-            job.kind,
-            ctx.resume_from,
-            ctx.checkpoint_to,
-            |c| {
-                suspend_cycle.is_some_and(|n| c.0 >= n)
-                    || (c.0.is_multiple_of(1024) && deadline.is_some_and(|d| Instant::now() >= d))
-            },
-        )
-        .map_err(ExecError::from)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1307,34 +1260,22 @@ pub fn run_worker() -> i32 {
         })
     });
 
-    let cancel = AtomicBool::new(false);
-    let result = if let Some(n) = spec.suspend_after {
-        spec.h.run_job_managed(
-            spec.job.bench,
-            spec.job.kind,
-            spec.resume_from.as_deref(),
-            spec.checkpoint_to.as_deref(),
-            |c| c.0 >= n,
-        )
-    } else {
-        spec.h.run_job_serviced(
-            spec.job.bench,
-            spec.job.kind,
-            &ring,
-            false,
-            &cancel,
-            spec.resume_from.as_deref(),
-            spec.checkpoint_to.as_deref(),
-            None,
-            |cycle, bytes| {
-                emit(&obj(vec![
-                    ("t", Value::str("checkpoint")),
-                    ("cycle", Value::u64(cycle)),
-                    ("bytes", Value::u64(bytes)),
-                ]));
-            },
-        )
+    let ctx = ExecContext {
+        resume_from: spec.resume_from.as_deref(),
+        checkpoint_to: spec.checkpoint_to.as_deref(),
+        suspend_after: spec.suspend_after,
+        ring: spec.stream.then_some(&ring),
+        ..ExecContext::default()
     };
+    let result = spec
+        .h
+        .run_job_with(spec.job.bench, spec.job.kind, &ctx, |cycle, bytes| {
+            emit(&obj(vec![
+                ("t", Value::str("checkpoint")),
+                ("cycle", Value::u64(cycle)),
+                ("bytes", Value::u64(bytes)),
+            ]));
+        });
     ring.close();
     if let Some(handle) = drain {
         let _ = handle.join();

@@ -1,19 +1,33 @@
 //! Kill-anywhere acceptance: killing a real benchmark at any cycle
 //! and restoring from the checkpoint must reproduce the uninterrupted
 //! run's `SimOutcome` byte-for-byte, across benchmarks and
-//! mechanisms; and with checkpointing off the checkpointed entry
-//! point must be exactly `Gpu::run`.
+//! mechanisms; and with checkpointing off a checkpointing run must be
+//! exactly `Gpu::run`.
+
+use std::path::Path;
 
 use snake_bench::Harness;
 use snake_core::PrefetcherKind;
-use snake_sim::snapshot::{fnv1a64, Checkpoint};
-use snake_sim::{json, Gpu};
+use snake_sim::snapshot::{fnv1a64, Checkpoint, SnapshotError};
+use snake_sim::{json, Gpu, SimOutcome};
 use snake_workloads::Benchmark;
 
 fn gpu(h: &Harness, bench: Benchmark, kind: PrefetcherKind) -> Gpu {
     let kernel = bench.build(&h.size);
     let warps = h.cfg.max_warps_per_sm;
     Gpu::new(h.cfg.clone(), kernel, |_| kind.build(warps)).unwrap()
+}
+
+/// Periodic checkpointing as caller policy: suspend at every
+/// `checkpoint_every` boundary, save, and continue to the end.
+fn run_checkpointed(gpu: &mut Gpu, path: &Path) -> Result<SimOutcome, SnapshotError> {
+    let every = gpu.config().checkpoint_every;
+    loop {
+        if let Some(out) = gpu.run_interruptible(|c| every.is_some_and(|n| c.0.is_multiple_of(n))) {
+            return Ok(out);
+        }
+        gpu.save_checkpoint(path)?;
+    }
 }
 
 /// The acceptance sweep: 20 kill cycles spread over the whole run, on
@@ -58,8 +72,8 @@ fn kill_anywhere_restore_is_byte_identical() {
     }
 }
 
-/// With `checkpoint_every` unset, `run_checkpointed` takes the plain
-/// `run()` path: identical outcome, and no artifact is ever written.
+/// With `checkpoint_every` unset, a checkpointing run never stops to
+/// save: identical outcome, and no artifact is ever written.
 #[test]
 fn checkpointing_off_is_exactly_run() {
     let h = Harness::quick();
@@ -67,9 +81,7 @@ fn checkpointing_off_is_exactly_run() {
     let reference = format!("{:?}", gpu(&h, Benchmark::Cp, PrefetcherKind::Snake).run());
     let path = std::env::temp_dir().join(format!("snake-ckpt-off-{}.ckpt", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let out = gpu(&h, Benchmark::Cp, PrefetcherKind::Snake)
-        .run_checkpointed(&path)
-        .unwrap();
+    let out = run_checkpointed(&mut gpu(&h, Benchmark::Cp, PrefetcherKind::Snake), &path).unwrap();
     assert_eq!(format!("{out:?}"), reference);
     assert!(
         !path.exists(),
@@ -90,9 +102,7 @@ fn periodic_checkpointing_does_not_perturb_the_run() {
     let dir = std::env::temp_dir().join(format!("snake-ckpt-cadence-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("periodic.ckpt");
-    let out = gpu(&h, Benchmark::Lps, PrefetcherKind::Snake)
-        .run_checkpointed(&path)
-        .unwrap();
+    let out = run_checkpointed(&mut gpu(&h, Benchmark::Lps, PrefetcherKind::Snake), &path).unwrap();
     assert_eq!(
         format!("{out:?}"),
         reference,

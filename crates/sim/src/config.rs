@@ -13,7 +13,6 @@ use crate::fault::FaultPlan;
 use crate::types::Cycle;
 
 /// Warp scheduling policy, per SM scheduler.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerPolicy {
     /// Greedy-then-oldest: keep issuing from the current warp until it
@@ -25,7 +24,6 @@ pub enum SchedulerPolicy {
 }
 
 /// Geometry of a set-associative cache.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
@@ -74,7 +72,6 @@ impl CacheGeometry {
 }
 
 /// Full simulator configuration (Table 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
@@ -166,9 +163,10 @@ pub struct GpuConfig {
     /// (the default) disables collection.
     pub metrics_window: Option<u64>,
     /// Write a checkpoint of the complete simulator state every this
-    /// many cycles while running under
-    /// [`Gpu::run_checkpointed`](crate::Gpu::run_checkpointed) (or a
-    /// harness that polls [`Gpu::checkpoint`](crate::Gpu::checkpoint)).
+    /// many cycles, under a harness that suspends
+    /// [`Gpu::run_interruptible`](crate::Gpu::run_interruptible) at the
+    /// cadence and calls
+    /// [`Gpu::save_checkpoint`](crate::Gpu::save_checkpoint).
     /// `None` (the default) disables periodic checkpointing entirely —
     /// the run pays zero overhead, matching the no-observer-effect
     /// discipline of tracing and profiling.

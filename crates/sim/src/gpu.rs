@@ -26,7 +26,6 @@ use crate::types::{Cycle, SmId};
 use crate::watchdog::{DeadlockReport, NocCensus, Watchdog};
 
 /// Why a simulation ended.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub enum StopReason {
     /// All warps retired and the memory system drained.
@@ -120,6 +119,9 @@ pub struct Gpu {
     /// [`GpuConfig::host_profile`] is set. Component accumulators are
     /// merged into the final [`HostProfile`] at the end of `run`.
     prof: Option<HostProfiler>,
+    /// Host wall time spent inside [`Gpu::run_interruptible`] so far,
+    /// summed over every call (read only when `prof` is set).
+    wall_nanos: u64,
     /// Trace events forwarded to the sink so far (throughput input for
     /// the host profile).
     events_flushed: u64,
@@ -146,7 +148,6 @@ impl std::fmt::Debug for Gpu {
 }
 
 /// Result of running a kernel to completion.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Device-wide merged statistics.
@@ -239,6 +240,7 @@ impl Gpu {
             prev_brownout: false,
             noc_backpressured: false,
             prof,
+            wall_nanos: 0,
             events_flushed: 0,
             tap: None,
             fingerprint: OnceLock::new(),
@@ -582,105 +584,69 @@ impl Gpu {
     /// Runs to completion (or the cycle limit, or a watchdog trip) and
     /// returns merged device statistics.
     pub fn run(&mut self) -> SimOutcome {
-        // One clock read per run when profiling; none otherwise.
-        let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        while self.step() {}
-        self.finalize(t0)
+        self.run_interruptible(|_| false)
+            .expect("a constant-false predicate never suspends")
     }
 
     /// Like [`Gpu::run`], but after every cycle asks `suspend` whether
     /// to stop early. Returns `None` when suspended: no terminal trace
     /// event is emitted, no partial metrics window is closed, and the
-    /// device can be checkpointed with [`Gpu::checkpoint`] and later
-    /// resumed (here or in another process via [`Gpu::restore`]).
+    /// device can be checkpointed with [`Gpu::checkpoint`] (or
+    /// [`Gpu::save_checkpoint`]) and later resumed (here or in another
+    /// process via [`Gpu::restore`]).
     ///
     /// A suspended device is paused mid-run, not finished — calling
-    /// [`Gpu::run`] again continues it to a normal outcome.
+    /// [`Gpu::run`] again continues it to a normal outcome. The host
+    /// profile's wall time accumulates over every call, so it covers
+    /// all segments of a suspended-then-continued run.
     pub fn run_interruptible(
         &mut self,
         mut suspend: impl FnMut(Cycle) -> bool,
     ) -> Option<SimOutcome> {
+        // One clock read per call when profiling; none otherwise.
         let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        loop {
+        let done = loop {
             if !self.step() {
-                return Some(self.finalize(t0));
+                break true;
             }
             if suspend(self.cycle) {
-                return None;
+                break false;
             }
-        }
-    }
-
-    /// Runs to completion while writing a checkpoint of the full
-    /// simulator state to `path` (atomically, replacing the previous
-    /// one) every [`GpuConfig::checkpoint_every`] cycles. When that
-    /// option is `None` this is exactly [`Gpu::run`] — no per-cycle
-    /// checkpoint arithmetic, no I/O.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] if a checkpoint cannot be written; the
-    /// simulation stops at that cycle rather than silently continuing
-    /// without crash protection.
-    pub fn run_checkpointed(&mut self, path: &Path) -> Result<SimOutcome, SnapshotError> {
-        let Some(every) = self.cfg.checkpoint_every else {
-            return Ok(self.run());
         };
-        self.run_serviced(Some((path, every)), |_, _| {}, |_| false)
-            .map(|outcome| outcome.expect("suspend predicate is constant false"))
+        if let Some(t0) = t0 {
+            self.wall_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        done.then(|| self.finalize())
     }
 
-    /// The serving layer's run loop: [`Gpu::run_interruptible`] and
-    /// [`Gpu::run_checkpointed`] combined. Writes a checkpoint of the
-    /// full simulator state to `checkpoint.0` (atomically, replacing
-    /// the previous one) every `checkpoint.1` cycles, invoking
-    /// `on_checkpoint(cycle, bytes)` after each durable write so a
-    /// supervisor can journal the artifact; after every cycle asks
-    /// `suspend` whether to stop early, returning `None` with the
-    /// device paused mid-run (checkpointable via [`Gpu::checkpoint`]).
+    /// Writes a checkpoint of the full simulator state to `path`
+    /// (atomically, replacing any previous one) and returns its size in
+    /// bytes. With a trace sink attached, a [`SimEvent::CheckpointSaved`]
+    /// is stamped after the rename lands, so the event is never part of
+    /// the artifact it describes; it rides out with the next cycle's
+    /// flush. Call it between [`Gpu::run_interruptible`] segments —
+    /// periodic checkpointing is the caller's policy.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] if a checkpoint cannot be written; the
-    /// simulation stops at that cycle rather than silently continuing
-    /// without crash protection.
-    pub fn run_serviced(
-        &mut self,
-        checkpoint: Option<(&Path, u64)>,
-        mut on_checkpoint: impl FnMut(u64, u64),
-        mut suspend: impl FnMut(Cycle) -> bool,
-    ) -> Result<Option<SimOutcome>, SnapshotError> {
-        let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        loop {
-            if !self.step() {
-                return Ok(Some(self.finalize(t0)));
-            }
-            if let Some((path, every)) = checkpoint {
-                if self.cycle.0.is_multiple_of(every) {
-                    let bytes = self.checkpoint().write_atomic(path)?;
-                    // Stamped after the rename lands, so the event is
-                    // never part of the artifact it describes; it rides
-                    // out with the next cycle's flush.
-                    if self.sink.is_some() {
-                        self.device_events.push(TraceEvent {
-                            cycle: self.cycle,
-                            data: SimEvent::CheckpointSaved { bytes },
-                        });
-                    }
-                    on_checkpoint(self.cycle.0, bytes);
-                }
-            }
-            if suspend(self.cycle) {
-                return Ok(None);
-            }
+    /// Returns [`SnapshotError`] if the checkpoint cannot be written.
+    pub fn save_checkpoint(&mut self, path: &Path) -> Result<u64, SnapshotError> {
+        let bytes = self.checkpoint().write_atomic(path)?;
+        if self.sink.is_some() {
+            self.device_events.push(TraceEvent {
+                cycle: self.cycle,
+                data: SimEvent::CheckpointSaved { bytes },
+            });
         }
+        Ok(bytes)
     }
 
     /// Computes the stop reason, runs the end-of-run audit, emits the
     /// terminal trace event, closes the final metrics window, and
-    /// assembles the [`SimOutcome`]. Shared tail of every `run_*`
-    /// entry point, reached only after [`Gpu::step`] returned `false`.
-    fn finalize(&mut self, t0: Option<std::time::Instant>) -> SimOutcome {
+    /// assembles the [`SimOutcome`]. The tail of
+    /// [`Gpu::run_interruptible`], reached only after [`Gpu::step`]
+    /// returned `false`.
+    fn finalize(&mut self) -> SimOutcome {
         let stop = if let Some(report) = self.deadlock.take() {
             StopReason::Deadlock(report)
         } else if self.sms.iter().all(Sm::is_done) {
@@ -722,7 +688,7 @@ impl Gpu {
             }
             self.metrics = Some(metrics);
         }
-        let host = t0.and_then(|t0| self.collect_host_profile(t0.elapsed().as_nanos() as u64));
+        let host = self.collect_host_profile();
         SimOutcome {
             stats: self.collect_stats(),
             stop,
@@ -735,14 +701,14 @@ impl Gpu {
     /// Merges every component's host-time accumulator into one
     /// [`HostProfile`] (consumes the accumulators; `None` when
     /// profiling is off).
-    fn collect_host_profile(&mut self, wall_nanos: u64) -> Option<HostProfile> {
+    fn collect_host_profile(&mut self) -> Option<HostProfile> {
         let mut prof = self.prof.take()?;
         for sm in &mut self.sms {
             sm.merge_profile(&mut prof);
         }
         self.noc.merge_profile(&mut prof);
         self.partition.merge_profile(&mut prof);
-        Some(prof.finish(wall_nanos, self.cycle.0, self.events_flushed))
+        Some(prof.finish(self.wall_nanos, self.cycle.0, self.events_flushed))
     }
 
     /// Merges per-SM, interconnect, and partition statistics.
@@ -949,7 +915,7 @@ pub enum SimError {
     /// The configuration failed [`GpuConfig::validate`].
     Config(ConfigError),
     /// Writing, loading, or applying a checkpoint failed (see
-    /// [`Gpu::run_checkpointed`] and [`Gpu::restore`]).
+    /// [`Gpu::save_checkpoint`] and [`Gpu::restore`]).
     Snapshot(SnapshotError),
 }
 

@@ -1,9 +1,8 @@
 //! A dependency-free JSON value, parser, and writer.
 //!
-//! The build environment has no crates registry (the workspace's
-//! `serde` resolves to a no-op marker stub), but the sweep supervisor
-//! needs a real wire format for its checkpoint manifests. This module
-//! is the smallest JSON that round-trips the workspace's report types
+//! The workspace takes no serialization dependency, but the sweep
+//! supervisor needs a real wire format for its checkpoint manifests.
+//! This module is the smallest JSON that round-trips the workspace's report types
 //! **exactly**:
 //!
 //! * numbers are stored inline ([`Num`]): `u64` cycle counts stay

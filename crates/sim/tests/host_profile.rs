@@ -4,7 +4,8 @@
 //! state).
 
 use snake_sim::{
-    run_kernel, CtaId, GpuConfig, Instr, KernelTrace, NullPrefetcher, Phase, SimStats, WarpTrace,
+    run_kernel, CtaId, Gpu, GpuConfig, Instr, KernelTrace, NullPrefetcher, Phase, SimStats,
+    WarpTrace,
 };
 
 fn streaming_kernel(warps: u32, loads: usize) -> KernelTrace {
@@ -106,5 +107,29 @@ fn inject_stall_inflates_mem_partition_phase_only() {
         slow_mem > base_mem.saturating_mul(2),
         "injected stall must inflate the mem_partition phase \
          (base {base_mem} ns, injected {slow_mem} ns)"
+    );
+}
+
+/// Wall time covers every segment of a suspended-then-continued run:
+/// the phase accumulators and the cycle count span the whole run, so
+/// the wall clock must too, or `cycles_per_sec` inflates and the
+/// unaccounted remainder saturates to zero.
+#[test]
+fn wall_time_spans_every_segment_of_a_suspended_run() {
+    let mut cfg = GpuConfig::scaled(1);
+    cfg.host_profile = true;
+    let full = run(cfg.clone());
+    let stop_at = full.stats.cycles * 9 / 10;
+
+    let mut gpu = Gpu::new(cfg, streaming_kernel(4, 32), |_| Box::new(NullPrefetcher)).unwrap();
+    assert!(gpu.run_interruptible(|c| c.0 >= stop_at).is_none());
+    let out = gpu.run();
+    let host = out.host.expect("host_profile=true must deliver a profile");
+    assert_eq!(host.cycles, full.stats.cycles);
+    assert!(
+        host.wall_nanos >= host.phase_nanos_total(),
+        "wall {} ns must cover the phases' {} ns",
+        host.wall_nanos,
+        host.phase_nanos_total()
     );
 }

@@ -105,8 +105,9 @@ if [ "$rc" -ne 6 ]; then
     exit 1
 fi
 # Note: checkpointing-off overhead is covered by the trace-overhead
-# guard above (the no-cadence path is exactly Gpu::run) and by the
-# checkpointing_off_is_exactly_run test in crates/bench.
+# guard above (without a cadence a run never stops to save, so it is
+# exactly Gpu::run) and by the checkpointing_off_is_exactly_run test
+# in crates/bench.
 
 echo "==> suspend-resume smoke (supervisor: deadline preemption, no quarantine)"
 # A sweep whose jobs all hit the suspend trigger must exit 4 with the

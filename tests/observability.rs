@@ -3,12 +3,13 @@
 //! prefetch-lifecycle attribution.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
 use snake_repro::prelude::*;
 use snake_repro::sim::obs::{
     chrome_trace, FaultKind, SharedVecSink, SimEvent, TerminalKind, TraceEvent,
 };
-use snake_repro::sim::snapshot::Checkpoint;
+use snake_repro::sim::snapshot::{Checkpoint, SnapshotError};
 use snake_repro::sim::{
     Brownout, CacheGeometry, Cycle, FaultPlan, Recovery, StopReason, TelemetryRecord, TelemetryRing,
 };
@@ -83,6 +84,18 @@ fn traced_run(
     (out, sink.snapshot())
 }
 
+/// Periodic checkpointing as caller policy: suspend at every
+/// `checkpoint_every` boundary, save, and continue to the end.
+fn run_checkpointed(gpu: &mut Gpu, path: &Path) -> Result<SimOutcome, SnapshotError> {
+    let every = gpu.config().checkpoint_every;
+    loop {
+        if let Some(out) = gpu.run_interruptible(|c| every.is_some_and(|n| c.0.is_multiple_of(n))) {
+            return Ok(out);
+        }
+        gpu.save_checkpoint(path)?;
+    }
+}
+
 /// The golden run, extended with the snapshot layer: a checkpointing
 /// pass (emitting `CheckpointSaved` at every interval) followed by a
 /// restore of the final checkpoint on a fresh device (emitting
@@ -103,7 +116,7 @@ fn golden_traced_run(tag: &str) -> (SimOutcome, Vec<TraceEvent>) {
     })
     .expect("valid config");
     gpu.attach_sink(Box::new(sink.clone()));
-    let out = gpu.run_checkpointed(&ckpt_path).expect("checkpointing run");
+    let out = run_checkpointed(&mut gpu, &ckpt_path).expect("checkpointing run");
 
     // Restore leg: attach the sink *before* restoring so the Restored
     // splice event is captured, then finish the remaining cycles.
