@@ -39,6 +39,23 @@ pub struct RunOutput {
     pub host: Option<HostProfile>,
 }
 
+/// Where [`Harness::run_job_phased`] failed.
+#[derive(Debug)]
+pub(crate) enum JobError {
+    /// The resume checkpoint could not be loaded or restored (missing,
+    /// torn, or taken under another configuration).
+    Resume(SimError),
+    /// Anything else: an invalid configuration, a failed checkpoint
+    /// write.
+    Run(SimError),
+}
+
+impl From<SimError> for JobError {
+    fn from(e: SimError) -> Self {
+        JobError::Run(e)
+    }
+}
+
 /// What [`Harness::run_job_with`] produced: a finished run, a
 /// mid-simulation suspension whose state is now durable in a
 /// checkpoint file (resume it by passing the path back as
@@ -159,17 +176,33 @@ impl Harness {
         bench: Benchmark,
         kind: PrefetcherKind,
         ctx: &ExecContext<'_>,
-        mut on_checkpoint: impl FnMut(u64, u64),
+        on_checkpoint: impl FnMut(u64, u64),
     ) -> Result<JobRun, SimError> {
+        self.run_job_phased(bench, kind, ctx, on_checkpoint)
+            .map_err(|(JobError::Resume(e) | JobError::Run(e))| e)
+    }
+
+    /// [`Harness::run_job_with`], telling a failure to load or restore
+    /// `ctx.resume_from` apart from every other failure.
+    pub(crate) fn run_job_phased(
+        &self,
+        bench: Benchmark,
+        kind: PrefetcherKind,
+        ctx: &ExecContext<'_>,
+        mut on_checkpoint: impl FnMut(u64, u64),
+    ) -> Result<JobRun, JobError> {
         let cancelled = || ctx.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
         if cancelled() {
             return Ok(JobRun::Cancelled);
         }
         let kernel = bench.build(&self.size);
         let warps = self.cfg.max_warps_per_sm;
-        let mut gpu = Gpu::new(self.cfg.clone(), kernel.clone(), |_| kind.build(warps))?;
+        let mut gpu = Gpu::new(self.cfg.clone(), kernel.clone(), |_| kind.build(warps))
+            .map_err(SimError::from)?;
         if let Some(path) = ctx.resume_from {
-            gpu.restore(&Checkpoint::load(path)?)?;
+            Checkpoint::load(path)
+                .and_then(|ckpt| gpu.restore(&ckpt))
+                .map_err(|e| JobError::Resume(e.into()))?;
         }
         if let Some(ring) = ctx.ring {
             gpu.attach_telemetry(ring, ctx.include_events);
@@ -201,7 +234,7 @@ impl Harness {
                 .checkpoint_to
                 .expect("only a checkpointing run stops for a write");
             let cycle = gpu.cycle().0;
-            let bytes = gpu.save_checkpoint(path)?;
+            let bytes = gpu.save_checkpoint(path).map_err(SimError::from)?;
             on_checkpoint(cycle, bytes);
             if suspend {
                 return Ok(JobRun::Suspended {

@@ -540,10 +540,12 @@ fn restore_job(
     };
     let queued = matches!(state, ReqState::Queued);
     if queued {
-        // A resume checkpoint must actually load (schema, crc, and
-        // fingerprint checked); an unusable one means that sub-job
-        // simply re-runs from cycle zero — deterministically, so the
-        // final bytes are unaffected.
+        // A resume checkpoint must actually load (schema and crc
+        // checked); an unusable one means that sub-job simply re-runs
+        // from cycle zero — deterministically, so the final bytes are
+        // unaffected. The fingerprint is only checked on restore,
+        // where a mismatch makes the supervisor fall back to that same
+        // fresh run.
         records.retain(|jid, rec| match rec {
             JobRecord::Suspended { checkpoint, .. } => {
                 if Checkpoint::load(Path::new(checkpoint)).is_ok() {

@@ -44,7 +44,7 @@ use snake_sim::{
 use snake_workloads::WorkloadSize;
 
 use super::JobSpec;
-use crate::runner::{Harness, JobRun, RunOutput};
+use crate::runner::{Harness, JobError, JobRun, RunOutput};
 
 /// Environment variable overriding the worker binary the sandbox
 /// re-executes (normally the `repro` binary is located automatically).
@@ -164,6 +164,10 @@ pub enum ExecError {
     /// sandboxed twin of [`ExecError::Sim`]. Quarantined without
     /// retry.
     Typed(String),
+    /// The `resume_from` checkpoint could not be loaded or restored
+    /// (missing, torn, or from another configuration), in-thread or in
+    /// the child. The supervisor reruns the job from cycle zero.
+    Resume(String),
     /// A retryable in-band failure (a deadlocked run reported by the
     /// child); handled exactly like an in-thread deadlock.
     Failure(String),
@@ -177,11 +181,20 @@ impl From<SimError> for ExecError {
     }
 }
 
+impl From<JobError> for ExecError {
+    fn from(e: JobError) -> Self {
+        match e {
+            JobError::Resume(e) => ExecError::Resume(e.to_string()),
+            JobError::Run(e) => ExecError::Sim(e),
+        }
+    }
+}
+
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Sim(e) => write!(f, "{e}"),
-            ExecError::Typed(m) | ExecError::Failure(m) => f.write_str(m),
+            ExecError::Typed(m) | ExecError::Resume(m) | ExecError::Failure(m) => f.write_str(m),
             ExecError::Crash(c) => write!(f, "{}: {}", c.kind, c.message),
         }
     }
@@ -372,7 +385,7 @@ fn run_in_thread(
     ctx: &ExecContext<'_>,
     on_checkpoint: &mut dyn FnMut(u64, u64),
 ) -> Result<JobRun, ExecError> {
-    h.run_job_with(job.bench, job.kind, ctx, on_checkpoint)
+    h.run_job_phased(job.bench, job.kind, ctx, on_checkpoint)
         .map_err(ExecError::from)
 }
 
@@ -580,6 +593,7 @@ fn resolve_child(
             Some(ChildLine::Cancelled) => return Ok(JobRun::Cancelled),
             Some(ChildLine::Failed { message }) => return Err(ExecError::Failure(message)),
             Some(ChildLine::Error { message }) => return Err(ExecError::Typed(message)),
+            Some(ChildLine::Unresumable { message }) => return Err(ExecError::Resume(message)),
             Some(ChildLine::Window(_) | ChildLine::Checkpoint { .. }) => unreachable!(),
             None => {} // clean exit, no terminal line: protocol error
         }
@@ -1045,9 +1059,16 @@ pub enum ChildLine {
         /// The failure description, quarantine-table ready.
         message: String,
     },
-    /// A typed simulator error (invalid config, bad checkpoint);
-    /// quarantined without retry, like an in-thread [`SimError`].
+    /// A typed simulator error (invalid config, failed checkpoint
+    /// write); quarantined without retry, like an in-thread
+    /// [`SimError`].
     Error {
+        /// The error description.
+        message: String,
+    },
+    /// The resume checkpoint could not be loaded or restored; the
+    /// twin of an in-thread [`ExecError::Resume`].
+    Unresumable {
         /// The error description.
         message: String,
     },
@@ -1167,6 +1188,9 @@ pub fn parse_child_line(line: &str) -> Result<ChildLine, String> {
         "error" => Ok(ChildLine::Error {
             message: req_str(&v, "message")?,
         }),
+        "unresumable" => Ok(ChildLine::Unresumable {
+            message: req_str(&v, "message")?,
+        }),
         other => Err(format!("unknown child line type {other:?}")),
     }
 }
@@ -1269,7 +1293,7 @@ pub fn run_worker() -> i32 {
     };
     let result = spec
         .h
-        .run_job_with(spec.job.bench, spec.job.kind, &ctx, |cycle, bytes| {
+        .run_job_phased(spec.job.bench, spec.job.kind, &ctx, |cycle, bytes| {
             emit(&obj(vec![
                 ("t", Value::str("checkpoint")),
                 ("cycle", Value::u64(cycle)),
@@ -1294,8 +1318,12 @@ pub fn run_worker() -> i32 {
             ("checkpoint", Value::str(checkpoint)),
         ])),
         Ok(JobRun::Cancelled) => emit(&obj(vec![("t", Value::str("cancelled"))])),
-        Err(err) => emit(&obj(vec![
+        Err(JobError::Run(err)) => emit(&obj(vec![
             ("t", Value::str("error")),
+            ("message", Value::str(err.to_string())),
+        ])),
+        Err(JobError::Resume(err)) => emit(&obj(vec![
+            ("t", Value::str("unresumable")),
             ("message", Value::str(err.to_string())),
         ])),
     }

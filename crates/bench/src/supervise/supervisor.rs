@@ -478,7 +478,11 @@ struct Failure {
 /// A `resume_from` checkpoint only applies to attempt 1; if a resumed
 /// run fails, later attempts fall back to a fresh run from cycle zero
 /// under the retry seed schedule (a perturbed fault seed cannot take
-/// effect inside restored RNG state anyway).
+/// effect inside restored RNG state anyway). A checkpoint that cannot
+/// be loaded or restored at all ([`ExecError::Resume`]: deleted,
+/// torn, or from another configuration) is not the job's failure: the
+/// same attempt reruns from cycle zero, deterministically, so the
+/// report is the uninterrupted run's.
 ///
 /// Retry classification: typed simulator errors (and their sandboxed
 /// [`ExecError::Typed`] twin) are deterministic and quarantine
@@ -497,12 +501,8 @@ where
 {
     let max_attempts = cfg.max_attempts.max(1);
     let mut attempt = 1u32;
+    let mut resume = resume_from.map(Path::new);
     loop {
-        let resume = if attempt == 1 {
-            resume_from.map(Path::new)
-        } else {
-            None
-        };
         let failure = match catch_unwind(AssertUnwindSafe(|| runner(job, attempt, resume))) {
             Ok(Ok(JobRun::Finished(output))) => match output.stop {
                 StopReason::Deadlock(report) => Failure {
@@ -542,7 +542,11 @@ where
                     stderr: None,
                 };
             }
-            Ok(Err(ExecError::Typed(message))) => {
+            Ok(Err(ExecError::Resume(_))) if resume.is_some() => {
+                resume = None;
+                continue;
+            }
+            Ok(Err(ExecError::Typed(message) | ExecError::Resume(message))) => {
                 return JobOutcome::Crashed {
                     message,
                     attempts: attempt,
@@ -589,6 +593,7 @@ where
             p.note_retry();
         }
         std::thread::sleep(std::time::Duration::from_millis(backoff_ms(cfg, attempt)));
+        resume = None;
         attempt += 1;
     }
 }

@@ -73,6 +73,7 @@ fn terminal_line() -> impl Strategy<Value = String> {
         Just("{\"t\":\"cancelled\"}".to_string()),
         message().prop_map(|m| format!("{{\"t\":\"failed\",\"message\":\"{m}\"}}")),
         message().prop_map(|m| format!("{{\"t\":\"error\",\"message\":\"{m}\"}}")),
+        message().prop_map(|m| format!("{{\"t\":\"unresumable\",\"message\":\"{m}\"}}")),
     ]
 }
 

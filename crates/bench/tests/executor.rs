@@ -236,6 +236,32 @@ fn lease_killed_job_resumes_from_checkpoint_byte_identically() {
     }
 }
 
+/// A resume checkpoint that does not exist is `ExecError::Resume` from
+/// both executors — the sandboxed child says so on its `unresumable`
+/// line — so the supervisor reruns the job from cycle zero instead of
+/// quarantining it.
+#[test]
+fn missing_resume_checkpoint_is_a_resume_error_in_both_executors() {
+    let h = Harness::quick();
+    let job = &campaign(&[Benchmark::Lps], &[PrefetcherKind::Snake])[0];
+    let dir = scratch("missing-resume");
+    let missing = dir.join("gone.ckpt");
+    let ctx = ExecContext {
+        resume_from: Some(&missing),
+        ..ExecContext::default()
+    };
+    for executor in [
+        JobExecutor::in_thread(),
+        JobExecutor::sandbox_with_worker(SandboxLimits::default(), worker()),
+    ] {
+        match executor.run(&h, job, &ctx, &mut |_, _| {}) {
+            Err(ExecError::Resume(message)) => assert!(message.contains("gone.ckpt"), "{message}"),
+            other => panic!("expected a resume error, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Crash classification through the real binary: an injected
 /// `std::process::abort()` in a sandboxed child quarantines that job
 /// as `signal 6` while the sibling completes — and the whole sweep

@@ -366,6 +366,52 @@ fn deadline_suspended_job_resumes_mid_simulation() {
     }
 }
 
+/// A suspended job whose checkpoint is gone by `--resume` time is not
+/// quarantined: it reruns from cycle zero, and the sweep renders
+/// byte-identically to an uninterrupted one.
+#[test]
+fn unusable_resume_checkpoint_reruns_the_job_from_cycle_zero() {
+    let h = Harness::quick();
+    let jobs = campaign(
+        &[Benchmark::Lps],
+        &[PrefetcherKind::Snake, PrefetcherKind::Mta],
+    );
+    let cfg = test_cfg();
+
+    let full_path = tmp_manifest("lost-ckpt-full");
+    let full = supervise::run_campaign(&h, &jobs, &cfg, Some(&full_path), false).unwrap();
+    assert_eq!(full.counts(), (2, 0, 0, 0));
+    let reference = full.render(false);
+
+    let part_path = tmp_manifest("lost-ckpt-part");
+    let suspend_cfg = SweepConfig {
+        suspend_after: Some(300),
+        ..test_cfg()
+    };
+    let part = supervise::run_campaign(&h, &jobs, &suspend_cfg, Some(&part_path), false).unwrap();
+    let checkpoints: Vec<String> = part
+        .outcomes
+        .iter()
+        .filter_map(|(_, o)| match o {
+            JobOutcome::Suspended { checkpoint, .. } => Some(checkpoint.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(checkpoints.len(), 2, "both jobs suspend at cycle 300");
+    std::fs::remove_file(&checkpoints[0]).unwrap();
+
+    let resumed = supervise::run_campaign(&h, &jobs, &cfg, Some(&part_path), true).unwrap();
+    assert_eq!(resumed.counts(), (2, 0, 0, 0), "nothing quarantined");
+    assert_eq!(resumed.exit_code(), 0);
+    assert_eq!(resumed.render(false), reference);
+
+    std::fs::remove_file(&full_path).unwrap();
+    std::fs::remove_file(&part_path).unwrap();
+    for c in checkpoints {
+        let _ = std::fs::remove_file(c);
+    }
+}
+
 /// The manifest life cycle refuses the two dangerous cases: clobbering
 /// an existing manifest without `--resume`, and resuming a manifest
 /// recorded by a different harness or campaign.

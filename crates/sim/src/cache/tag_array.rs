@@ -1,6 +1,8 @@
 //! Set-associative tag array with per-line state, LRU, and the
 //! demand/prefetch side flag used by Snake's decoupled unified cache.
 
+use std::borrow::Cow;
+
 use crate::config::CacheGeometry;
 use crate::json::Value;
 use crate::snapshot::{self, SnapshotError};
@@ -309,37 +311,45 @@ impl TagArray {
         self.lines.iter().filter(|l| l.state == LineState::Valid)
     }
 
-    /// Serializes every line for a checkpoint. The geometry and the
-    /// occupancy counters are not captured: geometry comes from the
-    /// config, counters are recomputed from the lines on restore.
+    /// Serializes every line for a checkpoint: `{"lines":[row,…]}`
+    /// with one `[tag,state,side,last_use,fill_cycle,used,origin]` row
+    /// per line, written straight into one [`Value::Raw`] fragment.
+    /// The rows are most of a checkpoint's text, so they never become
+    /// a tree: [`snapshot::thaw`] keeps every `"lines"` entry as a
+    /// fragment too. The geometry and the occupancy counters are not
+    /// captured: geometry comes from the config, counters are
+    /// recomputed from the lines on restore.
     pub fn save_state(&self) -> Value {
-        let lines = self
-            .lines
-            .iter()
-            .map(|l| {
-                Value::arr(vec![
-                    Value::u64(l.tag.0),
-                    Value::u64(match l.state {
-                        LineState::Invalid => 0,
-                        LineState::Reserved => 1,
-                        LineState::Valid => 2,
-                    }),
-                    Value::u64(match l.side {
-                        Side::Demand => 0,
-                        Side::Prefetch => 1,
-                    }),
-                    Value::u64(l.last_use.0),
-                    Value::u64(l.fill_cycle.0),
-                    Value::Bool(l.used),
-                    Value::Bool(l.origin_prefetch),
-                ])
-            })
-            .collect();
-        Value::obj(vec![("lines".into(), Value::Arr(lines))])
+        let mut rows = String::with_capacity(self.lines.len() * 24 + 2);
+        rows.push('[');
+        for (i, l) in self.lines.iter().enumerate() {
+            if i > 0 {
+                rows.push(',');
+            }
+            let state = match l.state {
+                LineState::Invalid => 0,
+                LineState::Reserved => 1,
+                LineState::Valid => 2,
+            };
+            let side = match l.side {
+                Side::Demand => 0,
+                Side::Prefetch => 1,
+            };
+            rows.push('[');
+            for n in [l.tag.0, state, side, l.last_use.0, l.fill_cycle.0] {
+                push_u64(&mut rows, n);
+                rows.push(',');
+            }
+            rows.push_str(if l.used { "true," } else { "false," });
+            rows.push_str(if l.origin_prefetch { "true]" } else { "false]" });
+        }
+        rows.push(']');
+        Value::obj(vec![(ROWS_KEY.into(), Value::Raw(rows.into()))])
     }
 
     /// Restores every line from [`save_state`] and recomputes the
-    /// occupancy counters.
+    /// occupancy counters. The rows are scanned from the state's text:
+    /// a fragment is read in place, a tree is rendered first.
     ///
     /// # Errors
     ///
@@ -348,41 +358,18 @@ impl TagArray {
     ///
     /// [`save_state`]: TagArray::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let lines = snapshot::arr_field(v, "lines")?;
-        if lines.len() != self.lines.len() {
+        let rows = match snapshot::field(v, ROWS_KEY)? {
+            Value::Raw(text) => Cow::Borrowed(&**text),
+            tree => Cow::Owned(tree.to_string()),
+        };
+        let restored = scan_rows(&rows, self.lines.len())
+            .ok_or_else(|| SnapshotError::malformed("bad tag-array line entry"))?;
+        if restored.len() != self.lines.len() {
             return Err(SnapshotError::malformed(format!(
                 "tag array has {} lines, checkpoint has {}",
                 self.lines.len(),
-                lines.len()
+                restored.len()
             )));
-        }
-        let bad = || SnapshotError::malformed("bad tag-array line entry");
-        let mut restored = Vec::with_capacity(lines.len());
-        for entry in lines {
-            let f = entry.as_arr().ok_or_else(bad)?;
-            if f.len() != 7 {
-                return Err(bad());
-            }
-            let num = |i: usize| f[i].as_u64().ok_or_else(bad);
-            let flag = |i: usize| f[i].as_bool().ok_or_else(bad);
-            restored.push(Line {
-                tag: LineAddr(num(0)?),
-                state: match num(1)? {
-                    0 => LineState::Invalid,
-                    1 => LineState::Reserved,
-                    2 => LineState::Valid,
-                    _ => return Err(bad()),
-                },
-                side: match num(2)? {
-                    0 => Side::Demand,
-                    1 => Side::Prefetch,
-                    _ => return Err(bad()),
-                },
-                last_use: Cycle(num(3)?),
-                fill_cycle: Cycle(num(4)?),
-                used: flag(5)?,
-                origin_prefetch: flag(6)?,
-            });
         }
         self.lines = restored;
         self.valid = self
@@ -402,6 +389,86 @@ impl TagArray {
             .count() as u32;
         Ok(())
     }
+}
+
+/// The key of a tag array's row array in its checkpoint state.
+pub(crate) const ROWS_KEY: &str = "lines";
+
+/// Appends `n` in decimal, as [`Value::u64`] renders it.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// Decodes the compact text of [`TagArray::save_state`]'s row array,
+/// `None` on anything else. An integer field accepts what
+/// [`Value::as_u64`] accepts of a plain digit run.
+fn scan_rows(text: &str, expect: usize) -> Option<Vec<Line>> {
+    fn eat(rest: &mut &[u8], want: &[u8]) -> Option<()> {
+        *rest = rest.strip_prefix(want)?;
+        Some(())
+    }
+    fn num(rest: &mut &[u8]) -> Option<u64> {
+        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, tail) = rest.split_at(len);
+        *rest = tail;
+        std::str::from_utf8(digits).ok()?.parse().ok()
+    }
+    fn flag(rest: &mut &[u8]) -> Option<bool> {
+        match eat(rest, b"true") {
+            Some(()) => Some(true),
+            None => eat(rest, b"false").map(|()| false),
+        }
+    }
+    let mut rest = text.as_bytes();
+    let mut lines = Vec::with_capacity(expect);
+    eat(&mut rest, b"[")?;
+    if eat(&mut rest, b"]").is_none() {
+        loop {
+            eat(&mut rest, b"[")?;
+            let mut n = [0u64; 5];
+            for field in &mut n {
+                *field = num(&mut rest)?;
+                eat(&mut rest, b",")?;
+            }
+            let used = flag(&mut rest)?;
+            eat(&mut rest, b",")?;
+            let origin_prefetch = flag(&mut rest)?;
+            eat(&mut rest, b"]")?;
+            lines.push(Line {
+                tag: LineAddr(n[0]),
+                state: match n[1] {
+                    0 => LineState::Invalid,
+                    1 => LineState::Reserved,
+                    2 => LineState::Valid,
+                    _ => return None,
+                },
+                side: match n[2] {
+                    0 => Side::Demand,
+                    1 => Side::Prefetch,
+                    _ => return None,
+                },
+                last_use: Cycle(n[3]),
+                fill_cycle: Cycle(n[4]),
+                used,
+                origin_prefetch,
+            });
+            if eat(&mut rest, b",").is_none() {
+                eat(&mut rest, b"]")?;
+                break;
+            }
+        }
+    }
+    rest.is_empty().then_some(lines)
 }
 
 #[cfg(test)]
@@ -514,6 +581,99 @@ mod tests {
         tags.sort_unstable();
         assert_eq!(tags, vec![0, 2]);
         assert_eq!(t.prefetch_lines(), 2);
+    }
+
+    fn occupied() -> TagArray {
+        let mut t = arr();
+        for (addr, side, fill) in [
+            (4u64, Side::Demand, true),
+            (9, Side::Prefetch, true),
+            (6, Side::Prefetch, false),
+        ] {
+            let a = LineAddr(addr);
+            let w = t.find_victim(a, |_| true).unwrap();
+            t.reserve(w, a, side, Cycle(addr));
+            if fill {
+                t.fill(w, Cycle(addr + 100));
+            }
+        }
+        t.transfer_to_demand(t.probe(LineAddr(9)).unwrap(), Cycle(200));
+        t
+    }
+
+    #[test]
+    fn rows_round_trip_from_a_fragment_and_from_a_tree() {
+        let t = occupied();
+        let saved = t.save_state();
+        assert!(matches!(saved.get(ROWS_KEY), Some(Value::Raw(_))));
+        let text = saved.to_string();
+        assert!(
+            text.starts_with(r#"{"lines":[[4,2,0,104,104,false,false],"#),
+            "{text}"
+        );
+        for state in [
+            saved.clone(),
+            crate::json::parse(&text).unwrap(),
+            snapshot::thaw(&Value::Raw(text.as_str().into()))
+                .unwrap()
+                .into_owned(),
+        ] {
+            let mut back = arr();
+            back.restore_state(&state).unwrap();
+            assert_eq!(back.save_state().to_string(), text);
+            assert_eq!(
+                (
+                    back.free_lines(),
+                    back.prefetch_lines(),
+                    back.demand_lines(),
+                    back.reserved_lines()
+                ),
+                (
+                    t.free_lines(),
+                    t.prefetch_lines(),
+                    t.demand_lines(),
+                    t.reserved_lines()
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_rows_are_rejected() {
+        let good = "[4,2,0,104,104,false,false]";
+        let rows = |rows: &str| Value::obj(vec![(ROWS_KEY.into(), Value::Raw(rows.into()))]);
+        let full = |row: &str| format!("[{}]", [row; 8].join(","));
+        for bad in [
+            String::new(),
+            "[".into(),
+            format!("[{good}"),
+            format!("[{good},]"),
+            format!("{}x", full(good)),
+            full("[4,3,0,104,104,false,false]"),
+            full("[4,2,2,104,104,false,false]"),
+            full("[-4,2,0,104,104,false,false]"),
+            full("[1e5,2,0,104,104,false,false]"),
+            full("[18446744073709551616,2,0,104,104,false,false]"),
+            full("[4,2,0,104,104,false]"),
+            full("[4,2,0,104,104,0,false]"),
+            full("[4,2,0,104,104,false,false,1]"),
+        ] {
+            let err = arr().restore_state(&rows(&bad)).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Malformed { .. }),
+                "{bad}: {err}"
+            );
+        }
+        let err = arr()
+            .restore_state(&rows(&format!("[{good}]")))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("tag array has 8 lines, checkpoint has 1"),
+            "{err}"
+        );
+        assert!(arr().restore_state(&rows(&full(good))).is_ok());
+        assert!(arr().restore_state(&Value::u64(1)).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::obs::{
 use crate::perfstat::{HostProfile, HostProfiler, Phase, Stopwatch};
 use crate::prefetch::Prefetcher;
 use crate::sm::{PendingCta, Sm};
-use crate::snapshot::{self, Checkpoint, Fnv1a64, SnapshotError};
+use crate::snapshot::{self, Checkpoint, Fnv1a64, SnapshotError, FRAGMENT_DEPTH};
 use crate::stats::SimStats;
 use crate::types::{Cycle, SmId};
 use crate::watchdog::{DeadlockReport, NocCensus, Watchdog};
@@ -820,7 +820,16 @@ impl Gpu {
     /// Serializes all mutable state. Option-gated components (watchdog,
     /// windowed metrics) encode as `Null` when absent; the fingerprint
     /// guarantees presence agrees between capture and restore.
+    ///
+    /// Each component is frozen into [`FRAGMENT_DEPTH`] fragments as
+    /// soon as it is built — each SM whole, the other components field
+    /// by field — so at most one component's tree exists at a time and
+    /// the state has the shape [`Checkpoint::load`] gives its text.
     fn save_state(&self) -> Value {
+        // The state sits inside the checkpoint document's envelope, so
+        // a component at depth `d` of the state keeps
+        // `FRAGMENT_DEPTH - 1 - d` levels as a tree.
+        let frozen = |v: Value, d: usize| v.freeze(FRAGMENT_DEPTH - 1 - d);
         Value::obj(vec![
             ("cycle".into(), Value::u64(self.cycle.0)),
             ("brownout_cycles".into(), Value::u64(self.brownout_cycles)),
@@ -832,26 +841,33 @@ impl Gpu {
             ("events_flushed".into(), Value::u64(self.events_flushed)),
             (
                 "sms".into(),
-                Value::Arr(self.sms.iter().map(Sm::save_state).collect()),
+                Value::Arr(
+                    self.sms
+                        .iter()
+                        .map(|sm| frozen(sm.save_state(), 2))
+                        .collect(),
+                ),
             ),
-            ("noc".into(), self.noc.save_state()),
-            ("partition".into(), self.partition.save_state()),
+            ("noc".into(), frozen(self.noc.save_state(), 1)),
+            ("partition".into(), frozen(self.partition.save_state(), 1)),
             (
                 "watchdog".into(),
                 self.watchdog
                     .as_ref()
-                    .map_or(Value::Null, Watchdog::save_state),
+                    .map_or(Value::Null, |w| frozen(w.save_state(), 1)),
             ),
             (
                 "metrics".into(),
                 self.metrics
                     .as_ref()
-                    .map_or(Value::Null, WindowedMetrics::save_state),
+                    .map_or(Value::Null, |m| frozen(m.save_state(), 1)),
             ),
         ])
     }
 
-    /// Applies state captured by [`Gpu::save_state`].
+    /// Applies state captured by [`Gpu::save_state`], thawing one
+    /// component at a time: each component's tree is dropped before
+    /// the next one is parsed.
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
         let cycle = Cycle(snapshot::u64_field(v, "cycle")?);
         let brownout_cycles = snapshot::u64_field(v, "brownout_cycles")?;
@@ -867,15 +883,18 @@ impl Gpu {
             )));
         }
         for (sm, state) in self.sms.iter_mut().zip(sms) {
-            sm.restore_state(state)?;
+            sm.restore_state(&*snapshot::thaw(state)?)?;
         }
-        self.noc.restore_state(snapshot::field(v, "noc")?)?;
+        self.noc
+            .restore_state(&*snapshot::thaw(snapshot::field(v, "noc")?)?)?;
         self.partition
-            .restore_state(snapshot::field(v, "partition")?)?;
+            .restore_state(&*snapshot::thaw(snapshot::field(v, "partition")?)?)?;
         let wd = snapshot::field(v, "watchdog")?;
         match (&mut self.watchdog, wd) {
             (None, Value::Null) => {}
-            (Some(w), state) if !matches!(state, Value::Null) => w.restore_state(state)?,
+            (Some(w), state) if !matches!(state, Value::Null) => {
+                w.restore_state(&*snapshot::thaw(state)?)?;
+            }
             _ => {
                 return Err(SnapshotError::malformed(
                     "watchdog presence disagrees with configuration",
@@ -886,7 +905,7 @@ impl Gpu {
         match (&mut self.metrics, m) {
             (None, Value::Null) => {}
             (Some(metrics), state) if !matches!(state, Value::Null) => {
-                metrics.restore_state(state)?;
+                metrics.restore_state(&*snapshot::thaw(state)?)?;
             }
             _ => {
                 return Err(SnapshotError::malformed(

@@ -17,8 +17,14 @@
 //!   line is byte-stable across write → parse → write;
 //! * a tree is compact: a [`Value`] node is 24 bytes, and strings,
 //!   arrays and objects are exact-size boxed slices with no growth
-//!   slack. A parsed checkpoint costs about 7 bytes of memory per byte
-//!   of text.
+//!   slack. A fully parsed tree still costs 6–7 bytes of memory per
+//!   byte of text;
+//! * a subtree can stay text: a [`Value::Raw`] *fragment* holds the
+//!   compact text of one array or object, renders verbatim and equals
+//!   the tree it renders as. [`parse_fragments`] and [`parse_keeping`]
+//!   keep chosen containers as fragments without building their nodes,
+//!   and [`Value::freeze`] turns built ones into fragments. A
+//!   checkpoint held as fragments costs about 1 byte per byte of text.
 //!
 //! [`parse`] is iterative, so hostile input cannot overflow the stack;
 //! it rejects nesting deeper than [`MAX_DEPTH`] containers.
@@ -30,7 +36,7 @@
 use std::fmt;
 
 /// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`.
     Null,
@@ -44,6 +50,31 @@ pub enum Value {
     Arr(Box<[Value]>),
     /// An object; entries keep insertion order.
     Obj(Box<[(Box<str>, Value)]>),
+    /// A *fragment*: the compact text of one array or object, kept
+    /// unparsed (see [`parse_fragments`] and [`Value::freeze`]). It
+    /// renders verbatim and equals the tree it renders as; [`get`] and
+    /// [`as_arr`] see nothing inside it.
+    ///
+    /// [`get`]: Value::get
+    /// [`as_arr`]: Value::as_arr
+    Raw(Box<str>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            (Value::Raw(a), Value::Raw(b)) => a == b,
+            (Value::Raw(text), v @ (Value::Arr(_) | Value::Obj(_)))
+            | (v @ (Value::Arr(_) | Value::Obj(_)), Value::Raw(text)) => renders_as(v, text),
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -157,6 +188,42 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Turns every array or object opened inside `depth` containers
+    /// into a [`Value::Raw`] fragment of its compact text, keeping the
+    /// levels above as a tree: the shape [`parse_fragments`] gives the
+    /// same text at the same depth. `freeze(0)` of a container is one
+    /// fragment; scalars are returned unchanged.
+    pub fn freeze(self, depth: usize) -> Value {
+        match self {
+            Value::Arr(_) | Value::Obj(_) if depth == 0 => Value::Raw(self.to_string().into()),
+            Value::Arr(items) => Value::Arr(
+                items
+                    .into_vec()
+                    .into_iter()
+                    .map(|v| v.freeze(depth - 1))
+                    .collect(),
+            ),
+            Value::Obj(entries) => Value::Obj(
+                entries
+                    .into_vec()
+                    .into_iter()
+                    .map(|(k, v)| (k, v.freeze(depth - 1)))
+                    .collect(),
+            ),
+            v => v,
+        }
+    }
+
+    /// Whether any fragment ([`Value::Raw`]) is left in this tree.
+    pub fn has_fragments(&self) -> bool {
+        match self {
+            Value::Raw(_) => true,
+            Value::Arr(items) => items.iter().any(Value::has_fragments),
+            Value::Obj(entries) => entries.iter().any(|(_, v)| v.has_fragments()),
+            _ => false,
+        }
+    }
 }
 
 /// A JSON number, stored inline wherever that is lossless.
@@ -228,7 +295,7 @@ impl fmt::Display for Num {
 
 /// Whether `n` renders to exactly `lexeme`, compared as the text is
 /// produced (no allocation).
-fn renders_as(n: &Num, lexeme: &str) -> bool {
+fn renders_as(n: &impl fmt::Display, lexeme: &str) -> bool {
     struct Match<'a>(&'a str);
     impl fmt::Write for Match<'_> {
         fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -270,24 +337,38 @@ impl fmt::Display for Value {
                 }
                 f.write_str("}")
             }
+            Value::Raw(text) => f.write_str(text),
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+/// Writes `s` as a JSON string literal, quotes included.
+fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
+    write_escaped_run(f, s)?;
     f.write_str("\"")
+}
+
+/// Writes the escaped body of a string: runs that need no escape go
+/// out in one piece.
+fn write_escaped_run(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        f.write_str(&rest[..i])?;
+        match rest.as_bytes()[i] {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
+        }
+        rest = &rest[i + 1..];
+    }
+    f.write_str(rest)
 }
 
 /// A parse failure, with the byte offset it happened at.
@@ -325,17 +406,50 @@ pub const MAX_DEPTH: usize = 128;
 /// Returns a [`ParseError`] naming the first offending byte offset,
 /// including for nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after value"));
-    }
-    Ok(v)
+    Parser::new(input).document(Keep {
+        depth: usize::MAX,
+        key: None,
+    })
+}
+
+/// Parses like [`parse`], but keeps every array or object opened
+/// inside `depth` others as a [`Value::Raw`] fragment of its compact
+/// text, building no nodes for it. `depth` 0 keeps a top-level
+/// container whole; a depth beyond [`MAX_DEPTH`] is [`parse`].
+///
+/// It accepts and rejects exactly what [`parse`] does, with the same
+/// error at the same offset, and the result renders byte-identically
+/// to [`parse`]'s: a fragment holds the text its subtree renders as
+/// (whitespace dropped, strings re-escaped), which for the workspace's
+/// own compact output is the input text itself.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_fragments(input: &str, depth: usize) -> Result<Value, ParseError> {
+    Parser::new(input).document(Keep { depth, key: None })
+}
+
+/// Parses like [`parse_fragments`], keeping instead every array or
+/// object that is the value of an object entry named `key`, at any
+/// depth, as a fragment.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_keeping(input: &str, key: &str) -> Result<Value, ParseError> {
+    Parser::new(input).document(Keep {
+        depth: usize::MAX,
+        key: Some(key),
+    })
+}
+
+/// Which containers a parse keeps as fragments: those opened inside
+/// `depth` others, and those that are the value of an entry `key`.
+#[derive(Clone, Copy)]
+struct Keep<'k> {
+    depth: usize,
+    key: Option<&'k str>,
 }
 
 struct Parser<'a> {
@@ -351,11 +465,33 @@ enum Open {
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// The whole input as one value.
+    fn document(mut self, keep: Keep<'_>) -> Result<Value, ParseError> {
+        self.skip_ws();
+        let v = self.value(keep)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing data after value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             msg: msg.into(),
             offset: self.pos,
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -377,28 +513,37 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
+    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(format!("expected {lit}")))
         }
     }
 
-    /// Parses one value of any depth. `open` holds the containers not
-    /// yet closed, innermost last; `items` the elements parsed so far
-    /// of all of them, and `keys` the keys of the open objects' entries
-    /// (an object's `i`-th key belongs to its `i`-th element).
-    fn value(&mut self) -> Result<Value, ParseError> {
+    /// Parses one value of any depth, keeping the containers `keep`
+    /// names as fragments. `open` holds the containers not yet closed,
+    /// innermost last; `items` the elements parsed so far of all of
+    /// them, and `keys` the keys of the open objects' entries (an
+    /// object's `i`-th key belongs to its `i`-th element, so the last
+    /// key names the entry being parsed when an object is innermost).
+    fn value(&mut self, keep: Keep<'_>) -> Result<Value, ParseError> {
         let mut open: Vec<Open> = Vec::new();
         let mut items: Vec<Value> = Vec::new();
         let mut keys: Vec<Box<str>> = Vec::new();
         loop {
+            let kept = |open: &[Open], keys: &[Box<str>]| {
+                open.len() == keep.depth
+                    || (keep.key.is_some()
+                        && matches!(open.last(), Some(Open::Obj(_)))
+                        && keys.last().map(|k| &**k) == keep.key)
+            };
             let mut v = match self.peek() {
+                Some(b'[' | b'{') if kept(&open, &keys) => self.fragment(open.len())?,
                 Some(b @ (b'[' | b'{')) => {
                     if open.len() == MAX_DEPTH {
-                        return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                        return Err(self.too_deep());
                     }
                     self.pos += 1;
                     self.skip_ws();
@@ -460,6 +605,68 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Scans the array or object at `self.pos`, opened inside `outer`
+    /// others, step for step as [`Parser::value`] parses it, into a
+    /// fragment of the text it renders as. `open` holds whether each
+    /// unclosed container is an object, innermost last.
+    fn fragment(&mut self, outer: usize) -> Result<Value, ParseError> {
+        let mut out = String::new();
+        let mut open: Vec<bool> = Vec::new();
+        loop {
+            match self.peek() {
+                Some(b @ (b'[' | b'{')) => {
+                    if outer + open.len() == MAX_DEPTH {
+                        return Err(self.too_deep());
+                    }
+                    self.pos += 1;
+                    out.push(char::from(b));
+                    self.skip_ws();
+                    match (b, self.peek()) {
+                        (b'[', Some(b']')) | (b'{', Some(b'}')) => {
+                            self.pos += 1;
+                            out.push(if b == b'[' { ']' } else { '}' });
+                        }
+                        (b'[', _) => {
+                            open.push(false);
+                            continue;
+                        }
+                        _ => {
+                            open.push(true);
+                            self.key_into(&mut out)?;
+                            continue;
+                        }
+                    }
+                }
+                _ => self.scalar_into(&mut out)?,
+            }
+            loop {
+                let Some(&obj) = open.last() else {
+                    return Ok(Value::Raw(out.into_boxed_str()));
+                };
+                self.skip_ws();
+                match (obj, self.peek()) {
+                    (_, Some(b',')) => {
+                        self.pos += 1;
+                        out.push(',');
+                        if obj {
+                            self.key_into(&mut out)?;
+                        } else {
+                            self.skip_ws();
+                        }
+                        break;
+                    }
+                    (false, Some(b']')) | (true, Some(b'}')) => {
+                        self.pos += 1;
+                        out.push(if obj { '}' } else { ']' });
+                    }
+                    (false, _) => return Err(self.err("expected ',' or ']'")),
+                    (true, _) => return Err(self.err("expected ',' or '}'")),
+                }
+                open.pop();
+            }
+        }
+    }
+
     /// An object entry's key and its `:`, with the whitespace around
     /// them.
     fn key(&mut self) -> Result<Box<str>, ParseError> {
@@ -471,16 +678,28 @@ impl<'a> Parser<'a> {
         Ok(key)
     }
 
+    /// [`Parser::key`], written to `out` as it renders.
+    fn key_into(&mut self, out: &mut String) -> Result<(), ParseError> {
+        self.skip_ws();
+        self.string_into(out)?;
+        self.skip_ws();
+        self.expect(b':')?;
+        out.push(':');
+        self.skip_ws();
+        Ok(())
+    }
+
     fn scalar(&mut self) -> Result<Value, ParseError> {
+        let lit = |p: &mut Self, lit, v| p.literal(lit).map(|()| v);
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'N') => self.literal("NaN", Value::f64(f64::NAN)),
-            Some(b'i') => self.literal("inf", Value::f64(f64::INFINITY)),
+            Some(b't') => lit(self, "true", Value::Bool(true)),
+            Some(b'f') => lit(self, "false", Value::Bool(false)),
+            Some(b'n') => lit(self, "null", Value::Null),
+            Some(b'N') => lit(self, "NaN", Value::f64(f64::NAN)),
+            Some(b'i') => lit(self, "inf", Value::f64(f64::INFINITY)),
             Some(b'-') if self.bytes[self.pos..].starts_with(b"-inf") => {
-                self.literal("-inf", Value::f64(f64::NEG_INFINITY))
+                lit(self, "-inf", Value::f64(f64::NEG_INFINITY))
             }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected byte {:?}", other as char))),
@@ -488,18 +707,51 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// [`Parser::scalar`], written to `out` as it renders. Literals and
+    /// number lexemes render as they are spelled.
+    fn scalar_into(&mut self, out: &mut String) -> Result<(), ParseError> {
+        let lit = match self.peek() {
+            Some(b'"') => return self.string_into(out),
+            Some(b't') => "true",
+            Some(b'f') => "false",
+            Some(b'n') => "null",
+            Some(b'N') => "NaN",
+            Some(b'i') => "inf",
+            Some(b'-') if self.bytes[self.pos..].starts_with(b"-inf") => "-inf",
+            Some(b'-' | b'0'..=b'9') => {
+                let lexeme = self.lexeme()?;
+                // Exactly the lexemes `Num::parse` accepts; plain
+                // integers skip the float parse.
+                let digits = lexeme.strip_prefix('-').unwrap_or(lexeme);
+                if !digits.bytes().all(|b| b.is_ascii_digit()) && lexeme.parse::<f64>().is_err() {
+                    return Err(self.err(format!("malformed number {lexeme:?}")));
+                }
+                out.push_str(lexeme);
+                return Ok(());
+            }
+            Some(other) => return Err(self.err(format!("unexpected byte {:?}", other as char))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.literal(lit)?;
+        out.push_str(lit);
+        Ok(())
+    }
+
+    /// The run of a string up to its next quote or escape. `"` and `\`
+    /// are ASCII, so it never splits a UTF-8 scalar of the input.
+    fn run(&mut self) -> &'a str {
+        let start = self.pos;
+        while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+            self.pos += 1;
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is a &str")
+    }
+
     fn string(&mut self) -> Result<Box<str>, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // The run up to the next quote or escape, copied in one
-            // piece: `"` and `\` are ASCII, so it never splits a UTF-8
-            // scalar of the input.
-            let start = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
-            let run = std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is a &str");
+            let run = self.run();
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 // No escapes: one allocation of exactly the run's length.
@@ -516,40 +768,69 @@ impl<'a> Parser<'a> {
                     // `\`: an escape.
                     out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates never appear in our own output.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    /// [`Parser::string`], written to `out` as it renders: quoted and
+    /// re-escaped.
+    fn string_into(&mut self, out: &mut String) -> Result<(), ParseError> {
+        const INFALLIBLE: &str = "writing to a String cannot fail";
+        self.expect(b'"')?;
+        out.push('"');
+        loop {
+            let run = self.run();
+            write_escaped_run(out, run).expect(INFALLIBLE);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    out.push('"');
+                    return Ok(());
+                }
+                Some(_) => {
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    write_escaped_run(out, c.encode_utf8(&mut [0; 4])).expect(INFALLIBLE);
+                }
+            }
+        }
+    }
+
+    /// Decodes the escape whose `\` was just consumed and steps past it.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| self.err("non-ascii \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                // Surrogates never appear in our own output.
+                let c =
+                    char::from_u32(code).ok_or_else(|| self.err("\\u escape is not a scalar"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// A number's lexeme, at least one byte beyond an optional `-`.
+    fn lexeme(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -564,6 +845,11 @@ impl<'a> Parser<'a> {
         if lexeme.is_empty() || lexeme == "-" {
             return Err(self.err("malformed number"));
         }
+        Ok(lexeme)
+    }
+
+    fn number(&mut self) -> Result<Value, ParseError> {
+        let lexeme = self.lexeme()?;
         Num::parse(lexeme)
             .map(Value::Num)
             .ok_or_else(|| self.err(format!("malformed number {lexeme:?}")))
@@ -810,6 +1096,18 @@ mod tests {
         for &(src, msg, offset) in table {
             let e = parse(src).unwrap_err();
             assert_eq!((e.msg.as_str(), e.offset), (msg, offset), "{src:?}");
+            for depth in 0..=4 {
+                assert_eq!(
+                    parse_fragments(src, depth),
+                    Err(e.clone()),
+                    "{src:?} at {depth}"
+                );
+            }
+            assert_eq!(
+                parse_keeping(src, "a"),
+                Err(e.clone()),
+                "{src:?} keeping \"a\""
+            );
         }
     }
 
@@ -821,6 +1119,15 @@ mod tests {
         let too_deep = format!("nesting deeper than {MAX_DEPTH} levels");
         let e = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
         assert_eq!((e.msg.as_str(), e.offset), (too_deep.as_str(), MAX_DEPTH));
+        for depth in [0, 3, MAX_DEPTH - 1, MAX_DEPTH] {
+            let deepest = nest("[", "]", MAX_DEPTH);
+            assert_eq!(
+                parse_fragments(&deepest, depth).unwrap().to_string(),
+                deepest
+            );
+            let too = nest("{\"k\":", "}", MAX_DEPTH + 1);
+            assert_eq!(parse_fragments(&too, depth), parse(&too), "depth {depth}");
+        }
         let e = parse(&nest("{\"k\":", "}", MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(
             (e.msg.as_str(), e.offset),
@@ -921,6 +1228,71 @@ mod tests {
             assert_eq!(back.to_string(), text);
             assert_eq!(back, v, "{text}");
         }
+    }
+
+    /// The fragment-keeping parse agrees with [`parse`] at every depth:
+    /// same acceptance, byte-identical render, equal values, and the
+    /// shape [`Value::freeze`] gives the parsed tree.
+    #[test]
+    fn fragments_parse_exactly_like_parse() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x150_0c0de);
+        for _ in 0..2_000 {
+            let text = random_tree(&mut rng, 5).to_string();
+            let tree = parse(&text).unwrap();
+            for depth in 0..=4 {
+                let kept = parse_fragments(&text, depth).unwrap_or_else(|e| panic!("{e}: {text}"));
+                assert_eq!(kept.to_string(), text);
+                assert_eq!(kept, tree, "{text} at {depth}");
+                assert_eq!(
+                    format!("{kept:?}"),
+                    format!("{:?}", tree.clone().freeze(depth)),
+                    "{text} at {depth}"
+                );
+            }
+            for key in ["", "a", "λ"] {
+                let kept = parse_keeping(&text, key).unwrap_or_else(|e| panic!("{e}: {text}"));
+                assert_eq!(kept.to_string(), text);
+                assert_eq!(kept, tree, "{text} keeping {key:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fragments_hold_the_rendered_text_not_the_input() {
+        let src = " [ \"\\/\\b\\f\\u00e9\u{1}\" , { \"k\\/\" : [ 1e5 , 01 , -inf ] } , [ ] ] ";
+        let tree = parse(src).unwrap();
+        for depth in 0..=3 {
+            let kept = parse_fragments(src, depth).unwrap();
+            assert_eq!(kept.to_string(), tree.to_string(), "depth {depth}");
+            assert_eq!(kept, tree);
+        }
+        assert_eq!(
+            parse_fragments(src, 0).unwrap(),
+            Value::Raw(r#"["/\u0008\u000cé\u0001",{"k/":[1e5,01,-inf]},[]]"#.into())
+        );
+        let top = parse_fragments(r#"{"a":[1],"b":{"c":2},"d":3}"#, 1).unwrap();
+        assert_eq!(top.get("a"), Some(&Value::Raw("[1]".into())));
+        assert_eq!(top.get("a").unwrap().as_arr(), None);
+        assert_eq!(top.get("b").unwrap().get("c"), None);
+        assert_eq!(top.get("d"), Some(&Value::u64(3)));
+        let rows = parse_keeping(r#"[{"k":[1],"j":[2]},{"k":{"k":3}}]"#, "k").unwrap();
+        let rows = rows.as_arr().unwrap();
+        assert_eq!(rows[0].get("k"), Some(&Value::Raw("[1]".into())));
+        assert_eq!(rows[0].get("j").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(rows[1].get("k"), Some(&Value::Raw(r#"{"k":3}"#.into())));
+    }
+
+    #[test]
+    fn fragments_equal_the_trees_they_render_as() {
+        let tree = parse(r#"{"a":[1,2.5,"x"]}"#).unwrap();
+        let raw = Value::Raw(r#"{"a":[1,2.5,"x"]}"#.into());
+        assert_eq!(raw, tree);
+        assert_eq!(tree, raw);
+        assert_ne!(Value::Raw("[1]".into()), parse("[2]").unwrap());
+        assert_ne!(Value::Raw("[1]".into()), Value::u64(1));
+        assert!(parse_fragments("[[1]]", 1).unwrap().has_fragments());
+        assert!(!parse("[[1]]").unwrap().has_fragments());
+        assert_eq!(Value::u64(7).freeze(0), Value::u64(7));
     }
 
     #[test]

@@ -25,10 +25,12 @@
 //!
 //! [`SimOutcome`]: crate::SimOutcome
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::Path;
 
+use crate::cache::tag_array::ROWS_KEY;
 use crate::json::{self, Num, Value};
 
 /// Version of the checkpoint document schema. Bump on any change to
@@ -38,6 +40,18 @@ pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
 
 /// First token of every checkpoint file.
 const SNAPSHOT_MAGIC: &str = "snake-checkpoint";
+
+/// How deep a checkpoint's state stays a tree: every array or object
+/// opened inside this many others in the checkpoint document is held
+/// as a [`Value::Raw`] fragment of its text until its own component
+/// restores. The document nests `state` (1), then `sms` and each
+/// `noc`/`partition` field below it, so each SM and each noc and
+/// partition field is one fragment. [`Checkpoint::load`] parses with
+/// it and [`Gpu::checkpoint`] saves the same shape, so a checkpoint in
+/// memory costs about one byte per byte of its text.
+///
+/// [`Gpu::checkpoint`]: crate::Gpu::checkpoint
+pub const FRAGMENT_DEPTH: usize = 3;
 
 /// A checkpoint artifact: the config/kernel fingerprint it was taken
 /// under plus the full simulator state document.
@@ -262,7 +276,12 @@ impl Checkpoint {
     /// Loads and validates an artifact from `path`. A torn tail (the
     /// process died mid-write without the atomic rename, or the file
     /// was truncated afterwards) fails the parse or the checksum and
-    /// is rejected here — state is never partially applied.
+    /// is rejected here — state is never partially applied. The state
+    /// is parsed down to [`FRAGMENT_DEPTH`] only; below it every
+    /// component stays text until [`thaw`] parses it for its restore.
+    /// The fingerprint is checked by [`Gpu::restore`], not here.
+    ///
+    /// [`Gpu::restore`]: crate::Gpu::restore
     ///
     /// # Errors
     ///
@@ -273,10 +292,10 @@ impl Checkpoint {
             path: path.display().to_string(),
             source,
         })?;
-        let v = json::parse(text.trim_end())
+        let v = json::parse_fragments(text.trim_end(), FRAGMENT_DEPTH)
             .map_err(|e| SnapshotError::malformed(format!("{}: {e}", path.display())))?;
-        // The tree owns everything from here on: free the text so it
-        // is not held alongside the tree while the crc is checked.
+        // The fragments own everything from here on: free the text so
+        // it is not held alongside them while the crc is checked.
         drop(text);
         Checkpoint::from_json(v)
     }
@@ -406,14 +425,52 @@ pub fn arr_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], SnapshotErr
         .ok_or_else(|| SnapshotError::malformed(format!("missing or non-array field {key:?}")))
 }
 
+/// One component's state as a tree, for its `restore_state`: each
+/// fragment is parsed, a tree without fragments is borrowed as it is.
+/// Tag-array rows (the `"lines"` entries inside a fragment) stay a
+/// fragment: they are most of the text, and
+/// [`TagArray::restore_state`] scans them itself.
+///
+/// [`TagArray::restore_state`]: crate::cache::tag_array::TagArray::restore_state
+///
+/// # Errors
+///
+/// [`SnapshotError::Malformed`] when a fragment is not valid JSON.
+pub fn thaw(v: &Value) -> Result<Cow<'_, Value>, SnapshotError> {
+    fn owned(v: &Value) -> Result<Value, SnapshotError> {
+        Ok(match v {
+            Value::Raw(text) => json::parse_keeping(text, ROWS_KEY)
+                .map_err(|e| SnapshotError::malformed(format!("state fragment: {e}")))?,
+            Value::Arr(items) => Value::Arr(items.iter().map(owned).collect::<Result<_, _>>()?),
+            Value::Obj(entries) => Value::Obj(
+                entries
+                    .iter()
+                    .map(|(k, v)| Ok((k.clone(), owned(v)?)))
+                    .collect::<Result<_, _>>()?,
+            ),
+            v => v.clone(),
+        })
+    }
+    if v.has_fragments() {
+        owned(v).map(Cow::Owned)
+    } else {
+        Ok(Cow::Borrowed(v))
+    }
+}
+
 /// Reports where two state documents first diverge, as a `/`-joined
 /// path of object keys and array indices (e.g. `sms/0/warps/3/next`),
-/// or `None` when they are identical. Drives `pfdebug`'s divergence
-/// bisector: the path names the first component whose restored state
-/// differs.
+/// or `None` when they are identical. Fragments that differ are thawed
+/// and walked like trees, so the path reaches inside them. Drives
+/// `pfdebug`'s divergence bisector: the path names the first component
+/// whose restored state differs.
 pub fn first_divergence(a: &Value, b: &Value) -> Option<String> {
     fn walk(a: &Value, b: &Value, path: &mut Vec<String>) -> Option<String> {
         match (a, b) {
+            (Value::Raw(_), _) | (_, Value::Raw(_)) if a != b => match (thaw(a), thaw(b)) {
+                (Ok(a), Ok(b)) => walk(&a, &b, path),
+                _ => Some(path.join("/")),
+            },
             (Value::Obj(fa), Value::Obj(fb)) if fa.len() == fb.len() => {
                 for ((ka, va), (kb, vb)) in fa.iter().zip(fb) {
                     if ka != kb {
@@ -558,6 +615,58 @@ mod tests {
         assert_eq!(first_divergence(&a, &b).as_deref(), Some("sms/1/w/1"));
         let c = json::parse(r#"{"sms":[{"w":[1,2]}],"cycle":9}"#).unwrap();
         assert_eq!(first_divergence(&a, &c).as_deref(), Some("sms"));
+    }
+
+    #[test]
+    fn first_divergence_reaches_inside_fragments() {
+        let doc = |x: u64| {
+            format!(
+                r#"{{"magic":"m","state":{{"sms":[{{"l1":{{"w":[1,2]}}}},{{"l1":{{"w":[3,{x}]}}}}],"noc":{{"up":[[1,2]]}},"cycle":9}}}}"#
+            )
+        };
+        let frag = |x| {
+            json::parse_fragments(&doc(x), FRAGMENT_DEPTH)
+                .unwrap()
+                .take("state")
+                .unwrap()
+        };
+        let tree = |x| json::parse(&doc(x)).unwrap().take("state").unwrap();
+        assert!(matches!(
+            &frag(4).get("sms").unwrap().as_arr().unwrap()[1],
+            Value::Raw(_)
+        ));
+        assert_eq!(first_divergence(&frag(4), &frag(4)), None);
+        assert_eq!(first_divergence(&frag(4), &tree(4)), None);
+        for (a, b) in [(frag(4), frag(5)), (frag(4), tree(5)), (tree(4), frag(5))] {
+            assert_eq!(first_divergence(&a, &b).as_deref(), Some("sms/1/l1/w/1"));
+        }
+        let noc = |row: &str| {
+            json::parse_fragments(&format!(r#"{{"s":{{"noc":{{"up":{row}}}}}}}"#), 2).unwrap()
+        };
+        assert_eq!(
+            first_divergence(&noc("[[1,2]]"), &noc("[[1,3]]")).as_deref(),
+            Some("s/noc/up/0/1")
+        );
+        assert_eq!(
+            first_divergence(&noc("[[1,2]]"), &noc("[[1,2],[3,4]]")).as_deref(),
+            Some("s/noc/up")
+        );
+    }
+
+    #[test]
+    fn thaw_parses_fragments_and_borrows_trees() {
+        let tree = json::parse(r#"{"a":[1,{"b":2}]}"#).unwrap();
+        assert!(matches!(thaw(&tree).unwrap(), Cow::Borrowed(_)));
+        for depth in 0..3 {
+            let kept = json::parse_fragments(&tree.to_string(), depth).unwrap();
+            let thawed = thaw(&kept).unwrap();
+            assert!(!thawed.has_fragments());
+            assert_eq!(format!("{:?}", *thawed), format!("{tree:?}"));
+        }
+        assert!(matches!(
+            thaw(&Value::Raw("[1,".into())).unwrap_err(),
+            SnapshotError::Malformed { .. }
+        ));
     }
 
     #[test]

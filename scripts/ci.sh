@@ -83,19 +83,30 @@ echo "==> kill-anywhere smoke (checkpoint mid-run, restore, byte-identical outco
 # SimOutcome artifact to be byte-identical to the uninterrupted one.
 # The kill cycle is derived from the PID and echoed so a failure is
 # reproducible; a mismatched restore must use the distinct exit code 6.
+# A second checkpoint 32 cycles later must sit on the same trajectory:
+# the divergence bisector loads both and compares the restored and the
+# replayed state every cycle in between.
 KILL_CYCLE=$((500 + $$ % 2000))
 echo "    kill cycle: $KILL_CYCLE (reproduce with --checkpoint-at $KILL_CYCLE)"
 ./target/release/pfdebug lib snake \
     --outcome-out "$SWEEP_DIR/uninterrupted.outcome"
 ./target/release/pfdebug lib snake --checkpoint-at "$KILL_CYCLE" \
     --checkpoint-out "$SWEEP_DIR/kill.ckpt" --outcome-out /dev/null
+./target/release/pfdebug lib snake --checkpoint-at $((KILL_CYCLE + 32)) \
+    --checkpoint-out "$SWEEP_DIR/kill2.ckpt" --outcome-out /dev/null
 ./target/release/pfdebug lib snake --restore "$SWEEP_DIR/kill.ckpt" \
     --outcome-out "$SWEEP_DIR/restored.outcome"
 if ! cmp -s "$SWEEP_DIR/uninterrupted.outcome" "$SWEEP_DIR/restored.outcome"; then
     echo "kill-anywhere smoke: restored outcome differs from the uninterrupted run" >&2
-    ./target/release/pfdebug lib snake --checkpoint-at $((KILL_CYCLE + 32)) \
-        --checkpoint-out "$SWEEP_DIR/kill2.ckpt" --outcome-out /dev/null
     ./target/release/pfdebug lib snake --diverge "$SWEEP_DIR/kill.ckpt" "$SWEEP_DIR/kill2.ckpt" >&2 || true
+    exit 1
+fi
+rc=0
+./target/release/pfdebug lib snake --diverge "$SWEEP_DIR/kill.ckpt" "$SWEEP_DIR/kill2.ckpt" \
+    > "$SWEEP_DIR/diverge.txt" || rc=$?
+if [ "$rc" -ne 0 ] || ! grep -q '^no divergence' "$SWEEP_DIR/diverge.txt"; then
+    echo "kill-anywhere smoke: --diverge must find no divergence (exit 0), got exit $rc" >&2
+    cat "$SWEEP_DIR/diverge.txt" >&2
     exit 1
 fi
 rc=0
