@@ -8,6 +8,7 @@
 //! repro --quick ...         use the fast test harness
 //! repro --sweep --manifest sweep.jsonl     supervised, checkpointed sweep
 //! repro --resume sweep.jsonl               finish an interrupted sweep
+//! repro --sweep --digest                   one `BENCH/mech cycles hash` line per job
 //! ```
 //!
 //! Sweep exit codes: 0 all jobs completed, 3 at least one job
@@ -39,7 +40,7 @@ const EXPERIMENTS: &[&str] = &[
 
 fn usage() -> String {
     format!(
-        "usage: repro [--quick] [--markdown] [--out FILE] [--metrics-csv FILE] (--list | --all | <experiment>...)\n       repro --sweep [SWEEP FLAGS]   supervised sweep over (benchmark, mechanism) jobs\n       repro --resume FILE           finish an interrupted sweep from its manifest\n       repro --perf [PERF FLAGS]     host-side perf measurement (BENCH_<label>.json)\n       repro --profile [PERF FLAGS]  one profiled pass, per-phase wall-time tables\n  --metrics-csv FILE  run lps under snake with windowed metrics and write the time series\nsweep flags:\n  --manifest FILE     checkpoint each finished job into FILE (must not pre-exist)\n  --benchmarks A,B    job benchmarks (abbr; default: all)\n  --mechanisms X,Y    job mechanisms (default: all)\n  --budget N          per-job cycle budget (jobs stop with budget_exceeded)\n  --retries N         attempts per job before quarantine (default 3)\n  --deadline-ms N     wall-clock budget for the whole sweep\n  --stop-after N      stop claiming jobs after N started (deterministic interrupt; exit 4)\n  --suspend-after N   checkpoint and requeue any job reaching cycle N (exit 4; resume restores)\n  --chaos             inject the canned fault plan (drops/delays/brownouts + recovery)\n  --progress          repaint a live progress line on stderr (done/total, retries, quarantines, elapsed)\nisolation flags (sweep and perf):\n  --isolate           run each job in a sandboxed worker subprocess; crashes\n                      (abort/signal/OOM/timeout) quarantine with a typed kind\n                      instead of killing the sweep\n  --isolate-mem MB    child address-space rlimit in MiB (requires --isolate)\n  --isolate-cpu SECS  child CPU-time rlimit in seconds (requires --isolate)\nperf flags (--benchmarks/--mechanisms/--budget also apply):\n  --label NAME        report label; output defaults to BENCH_<label>.json (default: local)\n  --runs N            repetitions per job (default 5; median +/- IQR)\n  --perf-out FILE     write the report here instead of BENCH_<label>.json\n  --compare FILE      gate against a baseline BENCH_*.json; exit {} on regression\n  --rel-threshold X   relative slowdown bar for the gate (default 0.10)\n  --perf-inject-ns N  burn N host ns per mem-partition tick (gate self-test hook)\nexperiments: {}",
+        "usage: repro [--quick] [--markdown] [--out FILE] [--metrics-csv FILE] (--list | --all | <experiment>...)\n       repro --sweep [SWEEP FLAGS]   supervised sweep over (benchmark, mechanism) jobs\n       repro --resume FILE           finish an interrupted sweep from its manifest\n       repro --perf [PERF FLAGS]     host-side perf measurement (BENCH_<label>.json)\n       repro --profile [PERF FLAGS]  one profiled pass, per-phase wall-time tables\n  --metrics-csv FILE  run lps under snake with windowed metrics and write the time series\nsweep flags:\n  --manifest FILE     checkpoint each finished job into FILE (must not pre-exist)\n  --benchmarks A,B    job benchmarks (abbr; default: all)\n  --mechanisms X,Y    job mechanisms (default: all)\n  --budget N          per-job cycle budget (jobs stop with budget_exceeded)\n  --retries N         attempts per job before quarantine (default 3)\n  --deadline-ms N     wall-clock budget for the whole sweep\n  --stop-after N      stop claiming jobs after N started (deterministic interrupt; exit 4)\n  --suspend-after N   checkpoint and requeue any job reaching cycle N (exit 4; resume restores)\n  --chaos             inject the canned fault plan (drops/delays/brownouts + recovery)\n  --progress          repaint a live progress line on stderr (done/total, retries, quarantines, elapsed)\n  --digest            print `BENCH/mech cycles fnv1a64(report JSON)` per completed job instead of the tables\nisolation flags (sweep and perf):\n  --isolate           run each job in a sandboxed worker subprocess; crashes\n                      (abort/signal/OOM/timeout) quarantine with a typed kind\n                      instead of killing the sweep\n  --isolate-mem MB    child address-space rlimit in MiB (requires --isolate)\n  --isolate-cpu SECS  child CPU-time rlimit in seconds (requires --isolate)\nperf flags (--benchmarks/--mechanisms/--budget also apply):\n  --label NAME        report label; output defaults to BENCH_<label>.json (default: local)\n  --runs N            repetitions per job (default 5; median +/- IQR)\n  --perf-out FILE     write the report here instead of BENCH_<label>.json\n  --compare FILE      gate against a baseline BENCH_*.json; exit {} on regression\n  --rel-threshold X   relative slowdown bar for the gate (default 0.10)\n  --perf-inject-ns N  burn N host ns per mem-partition tick (gate self-test hook)\nexperiments: {}",
         perfstat::EXIT_PERF_REGRESSION,
         EXPERIMENTS.join(" ")
     )
@@ -76,6 +77,7 @@ fn run() -> Result<i32, CliError> {
     let mut suspend_after: Option<u64> = None;
     let mut chaos = false;
     let mut progress = false;
+    let mut digest = false;
     let mut isolate = false;
     let mut isolate_mem: Option<u64> = None;
     let mut isolate_cpu: Option<u64> = None;
@@ -100,6 +102,7 @@ fn run() -> Result<i32, CliError> {
             "--sweep" => sweep = true,
             "--chaos" => chaos = true,
             "--progress" => progress = true,
+            "--digest" => digest = true,
             "--isolate" => isolate = true,
             "--isolate-mem" => {
                 isolate_mem = Some(parse_num(&mut args, "isolate-mem", "a MiB count")?);
@@ -272,15 +275,16 @@ fn run() -> Result<i32, CliError> {
             suspend_after,
             chaos,
             progress,
+            digest,
             benches,
             kinds,
             executor: executor(),
         };
         return run_sweep(opts);
     }
-    if progress {
+    if progress || digest {
         return Err(CliError::Usage(
-            "--progress is a sweep flag; pass it with --sweep or --resume".into(),
+            "--progress/--digest are sweep flags; pass them with --sweep or --resume".into(),
         ));
     }
     if !all && wanted.is_empty() && metrics_csv.is_none() {
@@ -350,6 +354,8 @@ struct SweepOpts {
     suspend_after: Option<u64>,
     chaos: bool,
     progress: bool,
+    /// Render the per-job digest lines instead of the tables.
+    digest: bool,
     benches: Option<Vec<Benchmark>>,
     kinds: Option<Vec<PrefetcherKind>>,
     executor: std::sync::Arc<supervise::JobExecutor>,
@@ -461,7 +467,11 @@ fn run_sweep(opts: SweepOpts) -> Result<i32, CliError> {
         r.finish();
     }
     let result = result?;
-    let rendered = result.render(opts.markdown);
+    let rendered = if opts.digest {
+        result.digest()
+    } else {
+        result.render(opts.markdown)
+    };
     match &opts.out_file {
         Some(path) => {
             let mut f = std::fs::File::create(path).map_err(|e| CliError::io(path, e))?;

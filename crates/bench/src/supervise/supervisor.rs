@@ -248,6 +248,25 @@ impl SweepResult {
         Some(t)
     }
 
+    /// One line per completed job, in campaign order:
+    /// `BENCH/mech cycles fnv1a64(report JSON)`. The format of the
+    /// committed full-matrix goldens under `tests/golden/`.
+    pub fn digest(&self) -> String {
+        let mut out = String::new();
+        for (job, outcome) in &self.outcomes {
+            if let JobOutcome::Completed { report, .. } = outcome {
+                let bytes = report.to_json().to_string();
+                out.push_str(&format!(
+                    "{} {} {:016x}\n",
+                    job.id(),
+                    report.cycles,
+                    snake_sim::snapshot::fnv1a64(bytes.as_bytes())
+                ));
+            }
+        }
+        out
+    }
+
     /// Renders the result tables (results, then quarantine, then a
     /// resume hint when interrupted) as text or markdown.
     pub fn render(&self, markdown: bool) -> String {

@@ -513,13 +513,18 @@ impl TailTable {
                 .map(|(i, _)| i)
                 .expect("non-empty"),
             EvictionPolicy::LruThenPopcount => {
-                // LRU bucket = oldest half (at least one entry).
-                let mut order: Vec<usize> = (0..self.entries.len()).collect();
-                order.sort_by_key(|&i| self.entries[i].last_use);
-                let bucket = self.entries.len().div_ceil(2);
-                order[..bucket]
-                    .iter()
-                    .copied()
+                // LRU bucket = oldest half (at least one entry): the
+                // entries ranked below `bucket` by (last use, index).
+                // Ranks are counted in place; the table is small.
+                let n = self.entries.len();
+                let bucket = n.div_ceil(2);
+                let age = |i: usize| (self.entries[i].last_use, i);
+                let in_bucket = |i: usize| (0..n).filter(|&j| age(j) < age(i)).count() < bucket;
+                // Ties in (popcount, last use) have equal ages up to
+                // the index, so the first minimum in index order is
+                // the first in LRU order.
+                (0..n)
+                    .filter(|&i| in_bucket(i))
                     .min_by_key(|&i| (self.entries[i].popcount(), self.entries[i].last_use))
                     .expect("non-empty bucket")
             }
@@ -918,5 +923,43 @@ mod tests {
         assert_eq!(TrainState::Observed.bits(), 0b01);
         assert_eq!(TrainState::Promoted.bits(), 0b10);
         assert_eq!(TrainState::Trained.bits(), 0b11);
+    }
+
+    #[test]
+    fn lru_bucket_victim_matches_a_stable_sort_tie_for_tie() {
+        // The reference: stable-sort indices by last use, take the
+        // oldest half, first minimum of (popcount, last use).
+        fn reference(entries: &[TailEntry]) -> usize {
+            let mut order: Vec<usize> = (0..entries.len()).collect();
+            order.sort_by_key(|&i| entries[i].last_use);
+            let bucket = entries.len().div_ceil(2);
+            order[..bucket]
+                .iter()
+                .copied()
+                .min_by_key(|&i| (entries[i].popcount(), entries[i].last_use))
+                .unwrap()
+        }
+        // Few distinct stamps and popcounts, so ties are common.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for n in 1..12usize {
+            for _ in 0..200 {
+                let mut t = TailTable::new(TailTableConfig {
+                    entries: n,
+                    ..Default::default()
+                });
+                for i in 0..n {
+                    let mut e = TailEntry::new(Pc(i as u32), Pc(99), 4, WarpId(0), next(4));
+                    e.warp_vec = (1u64 << next(3)) - 1;
+                    t.entries.push(e);
+                }
+                assert_eq!(t.eviction_victim(), reference(&t.entries));
+            }
+        }
     }
 }

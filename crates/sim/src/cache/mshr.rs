@@ -4,8 +4,15 @@
 //! number of entries and a bounded merge capability per entry
 //! (Table 1: 512 entries, 8 merges on the V100). Exhaustion of either
 //! produces reservation fails, one of the paper's motivation points.
-
-use std::collections::HashMap;
+//!
+//! Storage grows with the number of live misses, never with the
+//! configured capacity: entries sit densely in one `Vec`, each with a
+//! fixed block of `merge` waiter slots in a parallel `Vec`, and an
+//! open-addressed line index with a deterministic hash finds them.
+//! Completing a miss moves the last entry into the freed slot. All
+//! three grow together, doubling, only when the number of live misses
+//! passes a power of two it never reached before; otherwise
+//! allocating, merging and completing misses touch no heap.
 
 use crate::json::Value;
 use crate::obs::{SimEvent, TraceEvent};
@@ -22,14 +29,15 @@ pub enum MissOrigin {
 }
 
 /// One outstanding miss.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MshrEntry {
     /// Missing line.
     pub line: LineAddr,
     /// How the miss was created.
     pub origin: MissOrigin,
-    /// Warps waiting on this line (empty for un-merged prefetches).
-    pub waiters: Vec<WarpId>,
+    /// Number of warps waiting on this line (0 for un-merged
+    /// prefetches); the file stores their ids.
+    pub waiters: u32,
     /// Whether a demand request has merged into a prefetch-origin
     /// entry (a *late* prefetch in the §4 metrics).
     pub demand_merged: bool,
@@ -60,10 +68,103 @@ pub enum MergeResult {
     Full,
 }
 
+/// Marks a free [`LineIndex`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Open-addressed map from line to entry index: linear probing over a
+/// power-of-two table kept at most half full, deletion by backward
+/// shift (no tombstones, so the table never needs rehashing between
+/// growths). Lines hash by one multiply with the 64-bit golden ratio
+/// (Fibonacci hashing), taking the top bits: deterministic, no
+/// per-process seed.
+#[derive(Debug, Clone, Default)]
+struct LineIndex {
+    /// Entry index per slot, or [`EMPTY`].
+    slots: Vec<u32>,
+}
+
+impl LineIndex {
+    fn home(&self, line: LineAddr) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The slot holding `line`, if any.
+    fn find(&self, line: LineAddr, entries: &[MshrEntry]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut pos = self.home(line);
+        loop {
+            match self.slots[pos] {
+                EMPTY => return None,
+                i if entries[i as usize].line == line => return Some(pos),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    fn insert(&mut self, line: LineAddr, index: u32) {
+        let mask = self.slots.len() - 1;
+        let mut pos = self.home(line);
+        while self.slots[pos] != EMPTY {
+            pos = (pos + 1) & mask;
+        }
+        self.slots[pos] = index;
+    }
+
+    /// Empties slot `pos`, shifting later members of its probe run
+    /// back so every line stays reachable from its home slot.
+    fn remove(&mut self, mut pos: usize, entries: &[MshrEntry]) {
+        let mask = self.slots.len() - 1;
+        let mut next = pos;
+        loop {
+            self.slots[pos] = EMPTY;
+            loop {
+                next = (next + 1) & mask;
+                let i = self.slots[next];
+                if i == EMPTY {
+                    return;
+                }
+                // `next` may fill the hole unless its home lies
+                // cyclically in (pos, next].
+                let home = self.home(entries[i as usize].line);
+                if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(pos) & mask) {
+                    self.slots[pos] = i;
+                    pos = next;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Re-indexes `entries` into a table sized for `capacity` of them.
+    fn rebuild(&mut self, capacity: usize, entries: &[MshrEntry]) {
+        if capacity == 0 {
+            self.slots = Vec::new();
+            return;
+        }
+        self.slots = vec![EMPTY; (2 * capacity).next_power_of_two()];
+        for (i, e) in entries.iter().enumerate() {
+            self.insert(e.line, i as u32);
+        }
+    }
+}
+
 /// The MSHR file.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    entries: HashMap<LineAddr, MshrEntry>,
+    /// Outstanding entries, densely packed in no particular order.
+    entries: Vec<MshrEntry>,
+    /// `merge_capacity` waiter slots per entry, parallel to `entries`:
+    /// entry `i`'s waiters are the first `entries[i].waiters` slots of
+    /// block `i`.
+    waiters: Vec<WarpId>,
+    /// Line → index into `entries`, sized by `entries.capacity()`.
+    index: LineIndex,
+    /// Waiters of the most recently completed entry.
+    completed: Vec<WarpId>,
     capacity: usize,
     merge_capacity: usize,
     /// Allocation events buffered while tracing is enabled; the owning
@@ -74,7 +175,8 @@ pub struct MshrFile {
 
 impl MshrFile {
     /// Creates a file with `entries` slots and `merge` requesters per
-    /// slot (the allocating request counts as one).
+    /// slot (the allocating request counts as one). Nothing is
+    /// allocated until misses are.
     ///
     /// # Panics
     ///
@@ -82,7 +184,10 @@ impl MshrFile {
     pub fn new(entries: u32, merge: u32) -> Self {
         assert!(entries > 0 && merge > 0);
         MshrFile {
-            entries: HashMap::with_capacity(entries as usize),
+            entries: Vec::new(),
+            waiters: Vec::new(),
+            index: LineIndex::default(),
+            completed: Vec::new(),
             capacity: entries as usize,
             merge_capacity: merge as usize,
             trace: None,
@@ -117,9 +222,28 @@ impl MshrFile {
         self.entries.len() < self.capacity
     }
 
+    /// Index into `entries` of `line`'s entry.
+    fn slot(&self, line: LineAddr) -> Option<usize> {
+        let pos = self.index.find(line, &self.entries)?;
+        Some(self.index.slots[pos] as usize)
+    }
+
     /// Looks up an outstanding miss.
     pub fn get(&self, line: LineAddr) -> Option<&MshrEntry> {
-        self.entries.get(&line)
+        self.slot(line).map(|i| &self.entries[i])
+    }
+
+    /// The warps waiting on an outstanding miss, in merge order (empty
+    /// when `line` has no entry).
+    #[cfg(test)]
+    fn waiters(&self, line: LineAddr) -> &[WarpId] {
+        self.slot(line).map_or(&[], |i| self.block(i))
+    }
+
+    /// Entry `i`'s waiters.
+    fn block(&self, i: usize) -> &[WarpId] {
+        let start = i * self.merge_capacity;
+        &self.waiters[start..start + self.entries[i].waiters as usize]
     }
 
     /// Allocates a new entry.
@@ -137,7 +261,7 @@ impl MshrFile {
         now: Cycle,
     ) {
         debug_assert!(self.has_free_entry());
-        debug_assert!(!self.entries.contains_key(&line));
+        debug_assert!(self.slot(line).is_none());
         if let Some((sm, buf)) = self.trace.as_mut() {
             buf.push(TraceEvent {
                 cycle: now,
@@ -148,34 +272,44 @@ impl MshrFile {
                 },
             });
         }
-        let waiters = waiter.into_iter().collect();
-        self.entries.insert(
+        let i = self.entries.len();
+        let m = self.merge_capacity;
+        if i == self.entries.capacity() {
+            // A new peak of live misses: grow all three together.
+            self.entries.reserve(1);
+            self.waiters
+                .reserve_exact(self.entries.capacity() * m - self.waiters.len());
+            self.index.rebuild(self.entries.capacity(), &self.entries);
+        }
+        self.index.insert(line, i as u32);
+        self.entries.push(MshrEntry {
             line,
-            MshrEntry {
-                line,
-                origin,
-                waiters,
-                demand_merged: false,
-                requests: 1,
-                alloc_cycle: now,
-                last_issue: now,
-                retries: 0,
-            },
-        );
+            origin,
+            waiters: u32::from(waiter.is_some()),
+            demand_merged: false,
+            requests: 1,
+            alloc_cycle: now,
+            last_issue: now,
+            retries: 0,
+        });
+        self.waiters.resize((i + 1) * m, WarpId(0));
+        if let Some(w) = waiter {
+            self.waiters[i * m] = w;
+        }
     }
 
     /// Merges a demand request into an existing entry.
     pub fn merge_demand(&mut self, line: LineAddr, waiter: WarpId) -> MergeResult {
-        let entry = self
-            .entries
-            .get_mut(&line)
-            .expect("merge target must exist");
+        let i = self.slot(line).expect("merge target must exist");
+        let entry = &mut self.entries[i];
         // The allocating request occupies one merge slot.
         if entry.requests as usize >= self.merge_capacity {
             return MergeResult::Full;
         }
         entry.requests += 1;
-        entry.waiters.push(waiter);
+        // Waiters never outnumber requests, so the block has room.
+        self.waiters[i * self.merge_capacity + entry.waiters as usize] = waiter;
+        entry.waiters += 1;
         let was_prefetch = entry.origin == MissOrigin::Prefetch;
         let first_demand = was_prefetch && !entry.demand_merged;
         if was_prefetch {
@@ -187,7 +321,8 @@ impl MshrFile {
         }
     }
 
-    /// Completes a miss, removing and returning its entry.
+    /// Completes a miss, removing and returning its entry; its waiters
+    /// are then [`MshrFile::completed_waiters`].
     ///
     /// # Panics
     ///
@@ -201,7 +336,33 @@ impl MshrFile {
     /// a fill twice (or a recovered fill after the original straggles
     /// in); the second arrival finds no entry and must not panic.
     pub fn try_complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
-        self.entries.remove(&line)
+        let pos = self.index.find(line, &self.entries)?;
+        let i = self.index.slots[pos] as usize;
+        self.index.remove(pos, &self.entries);
+        let m = self.merge_capacity;
+        let start = i * m;
+        self.completed.clear();
+        self.completed
+            .extend_from_slice(&self.waiters[start..start + self.entries[i].waiters as usize]);
+        let last = self.entries.len() - 1;
+        if i < last {
+            // The last entry moves into slot `i`: repoint its line and
+            // move its waiter block along.
+            let moved = self
+                .index
+                .find(self.entries[last].line, &self.entries)
+                .expect("every entry is indexed");
+            self.index.slots[moved] = i as u32;
+            self.waiters.copy_within(last * m..(last + 1) * m, start);
+        }
+        self.waiters.truncate(last * m);
+        Some(self.entries.swap_remove(i))
+    }
+
+    /// The waiters of the entry most recently removed by
+    /// [`MshrFile::try_complete`], in merge order.
+    pub fn completed_waiters(&self) -> &[WarpId] {
+        &self.completed
     }
 
     /// Configured entry capacity.
@@ -209,32 +370,37 @@ impl MshrFile {
         self.capacity
     }
 
-    /// Iterates over all outstanding entries (auditing).
+    /// Iterates over all outstanding entries, in no particular order
+    /// (auditing, timeout recovery).
     pub fn iter(&self) -> impl Iterator<Item = &MshrEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 
-    /// Iterates mutably over all outstanding entries (timeout
-    /// recovery updates `last_issue`/`retries` in place).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MshrEntry> {
-        self.entries.values_mut()
-    }
-
-    /// Mutable access to the entry for `line`, if present.
-    pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut MshrEntry> {
-        self.entries.get_mut(&line)
+    /// Records a timeout-recovery reissue of `line`'s miss at `now`,
+    /// consuming one retry. Returns `false` when `line` has no entry.
+    /// (Entries are only ever changed through the file: their line and
+    /// waiter count locate them in its storage.)
+    pub fn reissue(&mut self, line: LineAddr, now: Cycle) -> bool {
+        let Some(i) = self.slot(line) else {
+            return false;
+        };
+        let entry = &mut self.entries[i];
+        entry.retries += 1;
+        entry.last_issue = now;
+        true
     }
 
     /// Serializes every outstanding entry for a checkpoint. Entries
     /// are written in ascending line order so the encoding is
-    /// independent of `HashMap` iteration order — the byte-stability
-    /// the kill-anywhere guarantee needs.
+    /// independent of where each entry sits in storage — the
+    /// byte-stability the kill-anywhere guarantee needs.
     pub fn save_state(&self) -> Value {
-        let mut lines: Vec<&MshrEntry> = self.entries.values().collect();
-        lines.sort_by_key(|e| e.line);
-        let entries = lines
+        let mut order: Vec<usize> = (0..self.entries.len()).collect();
+        order.sort_by_key(|&i| self.entries[i].line);
+        let entries = order
             .into_iter()
-            .map(|e| {
+            .map(|i| {
+                let e = &self.entries[i];
                 Value::obj(vec![
                     ("line".into(), Value::u64(e.line.0)),
                     (
@@ -247,7 +413,7 @@ impl MshrFile {
                     (
                         "waiters".into(),
                         Value::Arr(
-                            e.waiters
+                            self.block(i)
                                 .iter()
                                 .map(|w| Value::u64(u64::from(w.0)))
                                 .collect(),
@@ -265,54 +431,69 @@ impl MshrFile {
     }
 
     /// Restores the outstanding entries from [`save_state`]
-    /// (capacities are config-derived and kept).
+    /// (capacities are config-derived and kept). Storage is sized by
+    /// the restored entries, not by the capacity.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Malformed`] on a mistyped entry or more
-    /// entries than this file's capacity.
+    /// [`SnapshotError::Malformed`] on a mistyped entry, more entries
+    /// than this file's capacity, more waiters than its merge
+    /// capacity, or entries out of ascending line order.
     ///
     /// [`save_state`]: MshrFile::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let entries = snapshot::arr_field(v, "entries")?;
-        if entries.len() > self.capacity {
+        let saved = snapshot::arr_field(v, "entries")?;
+        if saved.len() > self.capacity {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} MSHR entries, capacity is {}",
-                entries.len(),
+                saved.len(),
                 self.capacity
             )));
         }
-        let mut restored = HashMap::with_capacity(self.capacity);
-        for e in entries {
+        let m = self.merge_capacity;
+        let mut entries: Vec<MshrEntry> = Vec::with_capacity(saved.len());
+        let mut waiters = Vec::with_capacity(saved.len() * m);
+        for e in saved {
             let line = LineAddr(snapshot::u64_field(e, "line")?);
             let origin = match snapshot::u64_field(e, "origin")? {
                 0 => MissOrigin::Demand,
                 1 => MissOrigin::Prefetch,
                 _ => return Err(SnapshotError::malformed("bad MSHR origin")),
             };
-            let waiters = snapshot::arr_field(e, "waiters")?
-                .iter()
-                .map(|w| {
+            let listed = snapshot::arr_field(e, "waiters")?;
+            if listed.len() > m {
+                return Err(SnapshotError::malformed(format!(
+                    "MSHR entry has {} waiters, merge capacity is {m}",
+                    listed.len()
+                )));
+            }
+            for w in listed {
+                waiters.push(
                     w.as_u32()
                         .map(WarpId)
-                        .ok_or_else(|| SnapshotError::malformed("bad MSHR waiter"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            restored.insert(
+                        .ok_or_else(|| SnapshotError::malformed("bad MSHR waiter"))?,
+                );
+            }
+            waiters.resize((entries.len() + 1) * m, WarpId(0));
+            if entries.last().is_some_and(|last| last.line >= line) {
+                return Err(SnapshotError::malformed(
+                    "MSHR entries are not in ascending line order",
+                ));
+            }
+            entries.push(MshrEntry {
                 line,
-                MshrEntry {
-                    line,
-                    origin,
-                    waiters,
-                    demand_merged: snapshot::bool_field(e, "demand_merged")?,
-                    requests: snapshot::u32_field(e, "requests")?,
-                    alloc_cycle: Cycle(snapshot::u64_field(e, "alloc_cycle")?),
-                    last_issue: Cycle(snapshot::u64_field(e, "last_issue")?),
-                    retries: snapshot::u32_field(e, "retries")?,
-                },
-            );
+                origin,
+                waiters: listed.len() as u32,
+                demand_merged: snapshot::bool_field(e, "demand_merged")?,
+                requests: snapshot::u32_field(e, "requests")?,
+                alloc_cycle: Cycle(snapshot::u64_field(e, "alloc_cycle")?),
+                last_issue: Cycle(snapshot::u64_field(e, "last_issue")?),
+                retries: snapshot::u32_field(e, "retries")?,
+            });
         }
-        self.entries = restored;
+        self.index.rebuild(entries.capacity(), &entries);
+        self.entries = entries;
+        self.waiters = waiters;
         Ok(())
     }
 }
@@ -344,8 +525,10 @@ mod tests {
         );
         // merge capacity 3 = allocator + 2 merges.
         assert_eq!(m.merge_demand(LineAddr(1), WarpId(3)), MergeResult::Full);
+        assert_eq!(m.waiters(LineAddr(1)), [WarpId(0), WarpId(1), WarpId(2)]);
         let e = m.complete(LineAddr(1));
-        assert_eq!(e.waiters, vec![WarpId(0), WarpId(1), WarpId(2)]);
+        assert_eq!(e.waiters, 3);
+        assert_eq!(m.completed_waiters(), [WarpId(0), WarpId(1), WarpId(2)]);
         assert!(m.is_empty());
     }
 
@@ -373,12 +556,11 @@ mod tests {
         let e = m.get(LineAddr(3)).unwrap();
         assert_eq!(e.last_issue, Cycle(17));
         assert_eq!(e.retries, 0);
-        for e in m.iter_mut() {
-            e.retries += 1;
-            e.last_issue = Cycle(40);
-        }
+        assert!(m.reissue(LineAddr(3), Cycle(40)));
+        assert!(!m.reissue(LineAddr(4), Cycle(40)));
         assert_eq!(m.iter().count(), 1);
-        assert_eq!(m.get(LineAddr(3)).unwrap().retries, 1);
+        let e = m.get(LineAddr(3)).unwrap();
+        assert_eq!((e.retries, e.last_issue), (1, Cycle(40)));
     }
 
     #[test]
@@ -404,5 +586,96 @@ mod tests {
         let e = m.complete(LineAddr(7));
         assert!(e.demand_merged);
         assert_eq!(e.origin, MissOrigin::Prefetch);
+    }
+
+    #[test]
+    fn slot_storage_matches_a_map_model() {
+        use std::collections::BTreeMap;
+        // Lines from a small, strided range so probe runs collide and
+        // wrap; entries churn through growth, completion and restore.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut m = MshrFile::new(48, 3);
+        let mut model: BTreeMap<LineAddr, Vec<WarpId>> = BTreeMap::new();
+        for step in 0..20_000u64 {
+            let line = LineAddr(next(64) << 7);
+            let warp = WarpId(next(1000) as u32);
+            match next(3) {
+                0 | 1 if model.contains_key(&line) => {
+                    let waiters = model.get_mut(&line).unwrap();
+                    let full = waiters.len() >= 3;
+                    let merged = m.merge_demand(line, warp) != MergeResult::Full;
+                    assert_eq!(merged, !full, "step {step}");
+                    if merged {
+                        waiters.push(warp);
+                    }
+                }
+                0 | 1 if m.has_free_entry() => {
+                    m.allocate(line, MissOrigin::Demand, Some(warp), Cycle(step));
+                    model.insert(line, vec![warp]);
+                }
+                _ => {
+                    let done = m.try_complete(line);
+                    assert_eq!(done.is_some(), model.contains_key(&line), "step {step}");
+                    if let Some(waiters) = model.remove(&line) {
+                        assert_eq!(m.completed_waiters(), waiters, "step {step}");
+                    }
+                }
+            }
+            if step % 997 == 0 {
+                let mut restored = MshrFile::new(48, 3);
+                restored.restore_state(&m.save_state()).unwrap();
+                assert_eq!(restored.save_state(), m.save_state());
+                m = restored;
+            }
+            assert_eq!(m.len(), model.len());
+            for (&line, waiters) in &model {
+                assert_eq!(m.waiters(line), waiters, "step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn storage_grows_with_live_misses_not_capacity() {
+        let mut m = MshrFile::new(512, 8);
+        assert_eq!(m.entries.capacity() + m.waiters.capacity(), 0);
+        assert!(m.index.slots.is_empty());
+        for i in 0..5 {
+            m.allocate(LineAddr(i), MissOrigin::Demand, Some(WarpId(0)), Cycle(0));
+        }
+        assert!(m.entries.capacity() < 16);
+        assert_eq!(m.waiters.capacity(), m.entries.capacity() * 8);
+    }
+
+    #[test]
+    fn restore_rejects_unordered_or_overfull_entries() {
+        let entry = |line: u64, waiters: &str| {
+            format!(
+                "{{\"line\":{line},\"origin\":0,\"waiters\":[{waiters}],\"demand_merged\":false,\
+                 \"requests\":1,\"alloc_cycle\":0,\"last_issue\":0,\"retries\":0}}"
+            )
+        };
+        let restore = |entries: &[String]| {
+            let doc = format!("{{\"entries\":[{}]}}", entries.join(","));
+            MshrFile::new(4, 2).restore_state(&crate::json::parse(&doc).unwrap())
+        };
+        assert!(restore(&[entry(1, "0"), entry(2, "1")]).is_ok());
+        assert!(
+            restore(&[entry(2, "1"), entry(1, "0")]).is_err(),
+            "out of order"
+        );
+        assert!(
+            restore(&[entry(1, "0"), entry(1, "1")]).is_err(),
+            "line twice"
+        );
+        assert!(
+            restore(&[entry(1, "0,5,6")]).is_err(),
+            "over merge capacity"
+        );
     }
 }

@@ -82,6 +82,8 @@ pub struct TagArray {
     valid: u32,
     valid_prefetch: u32,
     reserved: u32,
+    /// Reused candidate list of [`TagArray::bulk_evict_lru`].
+    lru_scratch: Vec<usize>,
 }
 
 impl TagArray {
@@ -104,6 +106,7 @@ impl TagArray {
             valid: 0,
             valid_prefetch: 0,
             reserved: 0,
+            lru_scratch: Vec::new(),
         }
     }
 
@@ -295,15 +298,20 @@ impl TagArray {
         }
     }
 
-    /// Bulk-evicts the LRU `count` valid lines of `side`, returning the
-    /// evicted lines (the §3.2 "free 25% of the unified cache" rule).
-    pub fn bulk_evict_lru(&mut self, side: Side, count: u32) -> Vec<Line> {
-        let mut candidates: Vec<usize> = (0..self.lines.len())
-            .filter(|&i| self.lines[i].state == LineState::Valid && self.lines[i].side == side)
-            .collect();
-        candidates.sort_by_key(|&i| self.lines[i].last_use);
+    /// Bulk-evicts the LRU `count` valid lines of `side` (ties going to
+    /// the lower way index), appending the evicted lines to `out`
+    /// oldest first (the §3.2 "free 25% of the unified cache" rule).
+    pub fn bulk_evict_lru(&mut self, side: Side, count: u32, out: &mut Vec<Line>) {
+        let mut candidates = std::mem::take(&mut self.lru_scratch);
+        candidates.clear();
+        candidates
+            .extend((0..self.lines.len()).filter(|&i| {
+                self.lines[i].state == LineState::Valid && self.lines[i].side == side
+            }));
+        candidates.sort_unstable_by_key(|&i| (self.lines[i].last_use, i));
         candidates.truncate(count as usize);
-        candidates.into_iter().map(|i| self.evict(Way(i))).collect()
+        out.extend(candidates.iter().map(|&i| self.evict(Way(i))));
+        self.lru_scratch = candidates;
     }
 
     /// Iterates over all valid lines (testing/diagnostics).
@@ -574,7 +582,8 @@ mod tests {
             t.reserve(w, a, side, Cycle(i));
             t.fill(w, Cycle(i));
         }
-        let evicted = t.bulk_evict_lru(Side::Prefetch, 2);
+        let mut evicted = Vec::new();
+        t.bulk_evict_lru(Side::Prefetch, 2, &mut evicted);
         assert_eq!(evicted.len(), 2);
         // Oldest prefetch lines are addrs 0 and 2.
         let mut tags: Vec<u64> = evicted.iter().map(|l| l.tag.0).collect();

@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use crate::cache::mshr::{MergeResult, MissOrigin, MshrFile};
-use crate::cache::tag_array::{Side, TagArray};
+use crate::cache::tag_array::{Line, Side, TagArray};
 use crate::config::GpuConfig;
 use crate::fault::Recovery;
 use crate::json::Value;
@@ -70,9 +70,6 @@ pub enum RequestKind {
     Store,
 }
 
-/// Warps to wake after a fill.
-pub type Waiters = Vec<WarpId>;
-
 /// An unused prefetched line evicted younger than this is counted as
 /// prefetcher overrun (the §3.3 space-throttle trigger); older unused
 /// lines are merely inaccurate prefetches.
@@ -102,6 +99,10 @@ pub struct UnifiedL1 {
     overrun: bool,
     /// Timeout-and-reissue recovery for lost fills, if enabled.
     recovery: Option<Recovery>,
+    /// Reused buffer of timed-out misses, `(last_issue, line)`.
+    recovery_due: Vec<(Cycle, LineAddr)>,
+    /// Reused buffer of the lines one bulk free evicts.
+    evicted: Vec<Line>,
     /// Recovery/fault counters (reissues, spurious fills).
     pub fault_stats: FaultStats,
     /// Counters exposed to the simulator.
@@ -149,6 +150,8 @@ impl UnifiedL1 {
             transfer_denom: 0,
             overrun: false,
             recovery: cfg.fault.recovery,
+            recovery_due: Vec::new(),
+            evicted: Vec::new(),
             fault_stats: FaultStats::default(),
             stats: CacheStats::default(),
             last_fail: None,
@@ -466,14 +469,16 @@ impl UnifiedL1 {
         } else {
             Side::Prefetch
         };
-        let mut evicted = self.tags.bulk_evict_lru(side, quarter);
+        let mut evicted = std::mem::take(&mut self.evicted);
+        evicted.clear();
+        self.tags.bulk_evict_lru(side, quarter, &mut evicted);
         if evicted.is_empty() {
             // Chosen side empty; fall back to the other side.
             let other = match side {
                 Side::Demand => Side::Prefetch,
                 Side::Prefetch => Side::Demand,
             };
-            evicted = self.tags.bulk_evict_lru(other, quarter);
+            self.tags.bulk_evict_lru(other, quarter, &mut evicted);
         }
         for l in &evicted {
             self.stats.evictions += 1;
@@ -492,6 +497,7 @@ impl UnifiedL1 {
                 });
             }
         }
+        self.evicted = evicted;
     }
 
     fn evict_for_alloc(&mut self, way: crate::cache::tag_array::Way, now: Cycle) {
@@ -649,25 +655,32 @@ impl UnifiedL1 {
     }
 
     /// Delivers a fill from the memory partition: completes the MSHR,
-    /// fills the reserved line, returns the warps to wake.
+    /// fills the reserved line, returns the warps to wake (in merge
+    /// order; the list lives in the MSHR file, so nothing is
+    /// allocated).
     ///
     /// A fill with no outstanding MSHR entry (a fault-injected
     /// duplicate, or the original response finally arriving after a
     /// timeout reissue already completed the miss) is counted as
     /// spurious and discarded.
-    pub fn fill(&mut self, line: LineAddr, now: Cycle) -> Waiters {
+    pub fn fill(&mut self, line: LineAddr, now: Cycle) -> &[WarpId] {
         let sw = Stopwatch::start(self.prof.is_some());
-        let waiters = self.fill_inner(line, now);
+        let completed = self.fill_inner(line, now);
         sw.stop(&mut self.prof, Phase::Mshr);
-        waiters
+        if completed {
+            self.mshr.completed_waiters()
+        } else {
+            &[]
+        }
     }
 
-    fn fill_inner(&mut self, line: LineAddr, now: Cycle) -> Waiters {
+    /// Returns whether `line` had an outstanding miss.
+    fn fill_inner(&mut self, line: LineAddr, now: Cycle) -> bool {
         let Some(entry) = self.mshr.try_complete(line) else {
             self.fault_stats.spurious_fills += 1;
-            return Vec::new();
+            return false;
         };
-        let waiters = entry.waiters.len() as u32;
+        let waiters = entry.waiters;
         self.emit(now, |sm| SimEvent::MshrFill { sm, line, waiters });
         let pure_prefetch = entry.origin == MissOrigin::Prefetch && !entry.demand_merged;
         if pure_prefetch {
@@ -680,7 +693,7 @@ impl UnifiedL1 {
         if let Some(iso) = &mut self.isolated {
             if let Some(way) = iso.probe(line) {
                 iso.fill(way, now);
-                return entry.waiters;
+                return true;
             }
         }
         let way = self
@@ -690,7 +703,7 @@ impl UnifiedL1 {
         // A demand-merged prefetch lands on the demand side (set at
         // merge time); late-merged waiters get the data now.
         self.tags.fill(way, now);
-        entry.waiters
+        true
     }
 
     /// Outstanding MSHR entries (diagnostics).
@@ -740,24 +753,21 @@ impl UnifiedL1 {
         if room == 0 {
             return;
         }
-        // HashMap iteration order varies between runs; reissue oldest
-        // first (line address breaking ties) so identical seeds stay
+        // The MSHR file keeps no meaningful order; reissue oldest first
+        // (line address breaking ties) so identical seeds stay
         // bit-identical.
-        let mut candidates: Vec<(Cycle, crate::types::LineAddr)> = self
-            .mshr
-            .iter()
-            .filter(|e| now.since(e.last_issue) >= rec.timeout && e.retries < rec.max_retries)
-            .map(|e| (e.last_issue, e.line))
-            .collect();
-        candidates.sort_unstable();
-        candidates.truncate(room);
-        for (_, line) in candidates {
-            let entry = self
-                .mshr
-                .get_mut(line)
-                .expect("candidate collected from the MSHR above");
-            entry.retries += 1;
-            entry.last_issue = now;
+        let due = &mut self.recovery_due;
+        due.clear();
+        due.extend(
+            self.mshr
+                .iter()
+                .filter(|e| now.since(e.last_issue) >= rec.timeout && e.retries < rec.max_retries)
+                .map(|e| (e.last_issue, e.line)),
+        );
+        due.sort_unstable();
+        for &(_, line) in self.recovery_due.iter().take(room) {
+            let reissued = self.mshr.reissue(line, now);
+            assert!(reissued, "candidate collected from the MSHR above");
             self.miss_queue.push_back(OutgoingRequest {
                 line,
                 kind: RequestKind::ReadMiss,

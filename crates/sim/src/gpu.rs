@@ -179,7 +179,7 @@ impl Gpu {
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let mut sms: Vec<Sm> = (0..cfg.num_sms)
-            .map(|i| Sm::new(&cfg, SmId(i), mk_prefetcher(SmId(i))))
+            .map(|i| Sm::new(&cfg, SmId(i), &kernel, mk_prefetcher(SmId(i))))
             .collect();
 
         // Group warps into CTAs preserving first-appearance order.
@@ -204,7 +204,7 @@ impl Gpu {
         }
 
         for sm in &mut sms {
-            sm.kernel_launch(&kernel);
+            sm.kernel_launch();
         }
 
         let mut noc = Interconnect::new(cfg.noc_bytes_per_cycle, cfg.noc_latency, cfg.bw_window);
@@ -362,7 +362,7 @@ impl Gpu {
         let util = self.noc.utilization();
         let backpressured = self.noc_backpressured;
         for sm in &mut self.sms {
-            sm.tick(&self.kernel, now, util, backpressured);
+            sm.tick(now, util, backpressured);
         }
         self.noc_backpressured = false;
 
@@ -424,7 +424,7 @@ impl Gpu {
         }
 
         for sm in &mut self.sms {
-            sm.retire_finished(&self.kernel);
+            sm.retire_finished();
         }
 
         self.cycle = now.plus(1);

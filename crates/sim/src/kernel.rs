@@ -62,6 +62,15 @@ impl Instr {
     pub fn is_load(&self) -> bool {
         matches!(self, Instr::Load { .. })
     }
+
+    /// The transaction addresses of a load or store (`None` for
+    /// compute).
+    pub fn addrs(&self) -> Option<&AddrList> {
+        match self {
+            Instr::Load { addrs, .. } | Instr::Store { addrs, .. } => Some(addrs),
+            Instr::Compute { .. } => None,
+        }
+    }
 }
 
 /// Transaction address list of a memory instruction.
@@ -118,13 +127,17 @@ impl AddrList {
         false
     }
 
-    /// Iterates over the transaction addresses.
-    pub fn iter(&self) -> impl Iterator<Item = Address> + '_ {
-        let slice: &[Address] = match self {
+    /// The transaction addresses, in issue order.
+    pub fn as_slice(&self) -> &[Address] {
+        match self {
             AddrList::One(a) => std::slice::from_ref(a),
             AddrList::Many(v) => v,
-        };
-        slice.iter().copied()
+        }
+    }
+
+    /// Iterates over the transaction addresses.
+    pub fn iter(&self) -> impl Iterator<Item = Address> + '_ {
+        self.as_slice().iter().copied()
     }
 }
 

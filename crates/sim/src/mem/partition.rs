@@ -6,7 +6,7 @@
 //! the L2 service latency (hits) or the additional DRAM latency
 //! (misses). DRAM line transfers are bandwidth-limited.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::cache::tag_array::{LineState, Side, TagArray};
 use crate::config::GpuConfig;
@@ -65,8 +65,10 @@ pub struct MemoryPartition {
     dram_queue: VecDeque<PendingRead>,
     /// DRAM reads in flight (ready_cycle ordered FIFO: fixed latency).
     dram_pipe: VecDeque<(Cycle, PendingRead)>,
-    /// Requesters merged onto an outstanding DRAM read per line.
-    dram_merges: HashMap<LineAddr, Vec<SmId>>,
+    /// Requesters merged onto an outstanding DRAM read, one slot per
+    /// requester in arrival order: a line's requesters are its slots,
+    /// in order. Grows with the merged reads in flight.
+    dram_merges: Vec<(LineAddr, SmId)>,
     /// Responses ready to go back over the interconnect.
     outbox: VecDeque<DownPacket>,
     /// Responses held back by injected delay faults (constant delay,
@@ -113,7 +115,7 @@ impl MemoryPartition {
             hit_pipe: VecDeque::new(),
             dram_queue: VecDeque::new(),
             dram_pipe: VecDeque::new(),
-            dram_merges: HashMap::new(),
+            dram_merges: Vec::new(),
             outbox: VecDeque::new(),
             delayed: VecDeque::new(),
             injector: FaultInjector::new(cfg.fault),
@@ -246,9 +248,16 @@ impl MemoryPartition {
                 },
                 now,
             );
-            if let Some(extra) = self.dram_merges.remove(&req.line) {
-                for sm in extra {
-                    self.emit(DownPacket { sm, line: req.line }, now);
+            // Answer the requesters merged onto this read, in arrival
+            // order.
+            let mut i = 0;
+            while i < self.dram_merges.len() {
+                let (line, sm) = self.dram_merges[i];
+                if line == req.line {
+                    self.dram_merges.remove(i);
+                    self.emit(DownPacket { sm, line }, now);
+                } else {
+                    i += 1;
                 }
             }
             self.events += 1;
@@ -291,11 +300,11 @@ impl MemoryPartition {
 
     fn service(&mut self, req: PendingRead, now: Cycle) {
         // Merge with an outstanding DRAM read for the same line.
-        if self.dram_merges.contains_key(&req.line)
+        if self.dram_merges.iter().any(|&(line, _)| line == req.line)
             || self.dram_pipe.iter().any(|(_, r)| r.line == req.line)
             || self.dram_queue.iter().any(|r| r.line == req.line)
         {
-            self.dram_merges.entry(req.line).or_default().push(req.sm);
+            self.dram_merges.push((req.line, req.sm));
             // Merged requests still count as L2 misses (they need DRAM).
             self.stats.l2_misses += 1;
             return;
@@ -367,8 +376,9 @@ impl MemoryPartition {
     }
 
     /// Serializes the complete partition state for a checkpoint: the
-    /// L2 tag array, every queue and pipe, DRAM merge table (sorted by
-    /// line for order-independence of the backing `HashMap`), fault
+    /// L2 tag array, every queue and pipe, DRAM merge table (one row
+    /// per line in ascending line order, its requesters in arrival
+    /// order), fault
     /// injector, and counters. Latencies, bank count, and bandwidth are
     /// config-derived; trace and profiling attachments are
     /// runtime-only (the trace buffer is drained every cycle, so it is
@@ -392,14 +402,19 @@ impl MemoryPartition {
                 Value::u64(p.line.0),
             ])
         };
-        let mut merges: Vec<_> = self.dram_merges.iter().collect();
-        merges.sort_by_key(|(line, _)| line.0);
-        let merges = merges
-            .into_iter()
-            .map(|(line, sms)| {
+        // A stable sort keeps each line's requesters in arrival order.
+        let mut sorted = self.dram_merges.clone();
+        sorted.sort_by_key(|&(line, _)| line);
+        let merges = sorted
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|row| {
                 Value::arr(vec![
-                    Value::u64(line.0),
-                    Value::Arr(sms.iter().map(|s| Value::u64(u64::from(s.0))).collect()),
+                    Value::u64(row[0].0 .0),
+                    Value::Arr(
+                        row.iter()
+                            .map(|(_, s)| Value::u64(u64::from(s.0)))
+                            .collect(),
+                    ),
                 ])
             })
             .collect();
@@ -503,7 +518,7 @@ impl MemoryPartition {
         let dram_pipe = timed(v, "dram_pipe", decode_read)?;
         let outbox = queue(v, "outbox", decode_pkt)?;
         let delayed = timed(v, "delayed", decode_pkt)?;
-        let mut dram_merges = HashMap::new();
+        let mut dram_merges = Vec::new();
         for entry in snapshot::arr_field(v, "dram_merges")? {
             let (line, sms) = entry
                 .as_arr()
@@ -513,14 +528,15 @@ impl MemoryPartition {
                             .as_arr()?
                             .iter()
                             .map(|s| s.as_u32().map(SmId))
-                            .collect::<Option<Vec<_>>>()?;
+                            .collect::<Option<Vec<_>>>()
+                            .filter(|sms| !sms.is_empty())?;
                         Some((LineAddr(line.as_u64()?), sms))
                     } else {
                         None
                     }
                 })
                 .ok_or_else(|| SnapshotError::malformed("partition dram_merges entry"))?;
-            dram_merges.insert(line, sms);
+            dram_merges.extend(sms.into_iter().map(|sm| (line, sm)));
         }
         self.l2.restore_state(snapshot::field(v, "l2")?)?;
         self.injector
@@ -545,7 +561,7 @@ impl MemoryPartition {
             hit_pipe: self.hit_pipe.len(),
             dram_queue: self.dram_queue.len(),
             dram_pipe: self.dram_pipe.len(),
-            merged_readers: self.dram_merges.values().map(Vec::len).sum(),
+            merged_readers: self.dram_merges.len(),
             outbox: self.outbox.len(),
             fault_delayed: self.delayed.len(),
         }
@@ -628,6 +644,40 @@ mod tests {
         assert_eq!(p.stats.dram_reads, 1, "one DRAM read for both");
         got.sort_by_key(|s| s.0);
         assert_eq!(got, vec![SmId(0), SmId(1)]);
+    }
+
+    #[test]
+    fn merged_reads_answer_in_arrival_order_and_checkpoint_by_line() {
+        let mut p = part();
+        // Two DRAM reads in flight, then merged requesters interleaved
+        // across them.
+        p.push_read(SmId(0), LineAddr(9));
+        p.push_read(SmId(0), LineAddr(4));
+        p.tick(Cycle(0));
+        for (sm, line) in [(3, 9), (1, 4), (2, 9), (5, 4), (1, 9)] {
+            p.push_read(SmId(sm), LineAddr(line));
+        }
+        p.tick(Cycle(1));
+        let merges = p.save_state().get("dram_merges").unwrap().to_string();
+        assert_eq!(merges, "[[4,[1,5]],[9,[3,2,1]]]");
+        let mut restored = part();
+        restored.restore_state(&p.save_state()).unwrap();
+        assert_eq!(restored.save_state(), p.save_state());
+        assert_eq!(restored.census().merged_readers, 5);
+
+        let mut got = Vec::new();
+        for cy in 2..400u64 {
+            restored.tick(Cycle(cy));
+            while let Some(pkt) = restored.pop_response() {
+                got.push((pkt.line.0, pkt.sm.0));
+            }
+        }
+        assert_eq!(
+            got,
+            [(9, 0), (9, 3), (9, 2), (9, 1), (4, 0), (4, 1), (4, 5)],
+            "each line's requesters in arrival order"
+        );
+        assert_eq!(restored.census().merged_readers, 0);
     }
 
     #[test]

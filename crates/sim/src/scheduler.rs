@@ -63,20 +63,15 @@ impl Scheduler {
                 if n == 0 {
                     return None;
                 }
-                let start = self.current.map_or(offset, |c| c + stride);
-                // Walk this scheduler's slots once, wrapping.
-                let mine: Vec<usize> = (offset..n).step_by(stride).collect();
-                if mine.is_empty() {
-                    return None;
-                }
-                let begin = mine
-                    .iter()
-                    .position(|&i| i >= start % n.max(1))
-                    .unwrap_or(0);
-                let pick = mine[begin..]
-                    .iter()
-                    .chain(mine[..begin].iter())
-                    .copied()
+                let start = self.current.map_or(offset, |c| c + stride) % n;
+                // This scheduler's slots are `offset + k * stride` for
+                // `k < count`. Walk them once, wrapping, from the first
+                // one at or after `start` (or the first one at all).
+                let count = n.saturating_sub(offset).div_ceil(stride);
+                let first = start.saturating_sub(offset).div_ceil(stride);
+                let first = if first < count { first } else { 0 };
+                let pick = (0..count)
+                    .map(|k| offset + (first + k) % count * stride)
                     .find(|&i| issuable(i));
                 if pick.is_some() {
                     self.current = pick;
@@ -174,6 +169,49 @@ mod tests {
         let mut seen = vec![a, b, c];
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2], "all warps get a turn");
+    }
+
+    #[test]
+    fn lrr_walks_its_partition_from_after_the_last_pick() {
+        // The reference walk: collect the partition, start at the first
+        // slot at or after `current + stride` (mod n), wrap once.
+        fn reference(
+            slots: &[Option<WarpSlot>],
+            current: Option<usize>,
+            offset: usize,
+            stride: usize,
+        ) -> Option<usize> {
+            let n = slots.len();
+            let start = current.map_or(offset, |c| c + stride) % n;
+            let mine: Vec<usize> = (offset..n).step_by(stride).collect();
+            let begin = mine.iter().position(|&i| i >= start).unwrap_or(0);
+            mine[begin..]
+                .iter()
+                .chain(&mine[..begin])
+                .copied()
+                .find(|&i| slots[i].as_ref().is_some_and(WarpSlot::issuable))
+        }
+        for n in 1..10usize {
+            for stride in 1..4 {
+                for offset in 0..stride {
+                    for ready_mask in 0..(1u32 << n) {
+                        let slots: Vec<_> = (0..n)
+                            .map(|i| slot(i as u64, ready_mask & (1 << i) != 0))
+                            .collect();
+                        for current in std::iter::once(None).chain((0..n).map(Some)) {
+                            let mut s = Scheduler::new(SchedulerPolicy::LooseRoundRobin);
+                            s.current = current;
+                            assert_eq!(
+                                s.pick(&slots, offset, stride),
+                                reference(&slots, current, offset, stride),
+                                "n {n} stride {stride} offset {offset} \
+                                 mask {ready_mask:b} current {current:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub(crate) struct PendingCta {
 /// One streaming multiprocessor.
 pub struct Sm {
     id: SmId,
+    /// The kernel this SM executes (its warp slots index into it).
+    kernel: KernelTrace,
     slots: Vec<Option<WarpSlot>>,
     schedulers: Vec<Scheduler>,
     l1: UnifiedL1,
@@ -73,9 +75,15 @@ impl std::fmt::Debug for Sm {
 }
 
 impl Sm {
-    /// Builds an SM with the given prefetcher. The L1 placement mode is
-    /// derived from the prefetcher's [`PrefetchPlacement`].
-    pub fn new(cfg: &GpuConfig, id: SmId, prefetcher: Box<dyn Prefetcher>) -> Self {
+    /// Builds an SM that executes `kernel` with the given prefetcher.
+    /// The L1 placement mode is derived from the prefetcher's
+    /// [`PrefetchPlacement`].
+    pub fn new(
+        cfg: &GpuConfig,
+        id: SmId,
+        kernel: &KernelTrace,
+        prefetcher: Box<dyn Prefetcher>,
+    ) -> Self {
         let mode = match prefetcher.placement() {
             PrefetchPlacement::Decoupled => L1Mode::Decoupled,
             PrefetchPlacement::PlainL1 => L1Mode::Plain,
@@ -83,6 +91,7 @@ impl Sm {
         };
         Sm {
             id,
+            kernel: kernel.clone(),
             slots: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
             schedulers: (0..cfg.schedulers_per_sm)
                 .map(|_| Scheduler::new(cfg.scheduler))
@@ -126,9 +135,7 @@ impl Sm {
     }
 
     fn emit(&mut self, cycle: Cycle, data: SimEvent) {
-        if let Some(buf) = self.trace.as_mut() {
-            buf.push(TraceEvent { cycle, data });
-        }
+        push_event(&mut self.trace, cycle, data);
     }
 
     /// Starts accumulating host-time for this SM's phases and its
@@ -169,8 +176,8 @@ impl Sm {
     }
 
     /// Gives the prefetcher its pre-kernel look at the trace.
-    pub fn kernel_launch(&mut self, kernel: &KernelTrace) {
-        self.prefetcher.on_kernel_launch(kernel);
+    pub fn kernel_launch(&mut self) {
+        self.prefetcher.on_kernel_launch(&self.kernel);
     }
 
     /// Whether all queued and resident work has finished and the L1
@@ -197,19 +204,15 @@ impl Sm {
             let Some(front) = self.cta_queue.front() else {
                 return;
             };
-            let free: Vec<usize> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_none())
-                .map(|(i, _)| i)
-                .collect();
-            if free.len() < front.warps.len() {
+            let free = self.slots.iter().filter(|s| s.is_none()).count();
+            if free < front.warps.len() {
                 return;
             }
+            // The CTA's warps take the free slots in index order.
             let cta = self.cta_queue.pop_front().expect("front checked");
-            for (slot_idx, trace_idx) in free.into_iter().zip(cta.warps.iter().copied()) {
-                self.slots[slot_idx] = Some(WarpSlot::new(cta.cta, trace_idx, self.launch_seq));
+            let free_slots = self.slots.iter_mut().filter(|s| s.is_none());
+            for (slot, &trace_idx) in free_slots.zip(&cta.warps) {
+                *slot = Some(WarpSlot::new(cta.cta, trace_idx, self.launch_seq));
                 self.launch_seq += 1;
             }
         }
@@ -223,13 +226,7 @@ impl Sm {
     /// injection loop) — it reattributes `MissQueueFull` rejections to
     /// the NoC when the queue is full because the network will not
     /// drain it.
-    pub fn tick(
-        &mut self,
-        kernel: &KernelTrace,
-        now: Cycle,
-        noc_utilization: f64,
-        noc_backpressured: bool,
-    ) {
+    pub fn tick(&mut self, now: Cycle, noc_utilization: f64, noc_backpressured: bool) {
         // Phase attribution: the front-end regions below (CTA launch,
         // warp refresh, scheduler picks) are timed as `SmIssue`; the
         // L1 and prefetcher calls nested in `issue()` time themselves
@@ -255,11 +252,9 @@ impl Sm {
             // scheduler per cycle, so the buckets partition
             // `scheduler_cycles` exactly (audit-enforced).
             if let Some(slot_idx) = picked {
-                let retrying = self.slots[slot_idx]
-                    .as_ref()
-                    .is_some_and(|s| !s.pending.is_empty());
+                let retrying = self.slots[slot_idx].as_ref().is_some_and(|s| s.pending > 0);
                 self.l1.clear_last_fail();
-                let did_issue = self.issue(slot_idx, kernel, now, noc_utilization);
+                let did_issue = self.issue(slot_idx, now, noc_utilization);
                 if self.slots[slot_idx].is_none() {
                     sched.invalidate(slot_idx);
                 }
@@ -325,11 +320,13 @@ impl Sm {
         self.stats.stall.scheduler_cycles += n_sched as u64;
 
         // Stall taxonomy (Fig 5).
-        let live: Vec<&WarpSlot> = self.slots.iter().flatten().collect();
-        if !live.is_empty() && issued == 0 {
-            self.stats.all_stall_cycles += 1;
-            if live.iter().all(|w| w.memory_stalled()) {
-                self.stats.all_stall_mem_cycles += 1;
+        if issued == 0 {
+            let mut live = self.slots.iter().flatten().peekable();
+            if live.peek().is_some() {
+                self.stats.all_stall_cycles += 1;
+                if live.all(WarpSlot::memory_stalled) {
+                    self.stats.all_stall_mem_cycles += 1;
+                }
             }
         }
         self.stats.cycles = now.0 + 1;
@@ -364,86 +361,59 @@ impl Sm {
     /// Issues from `slot_idx`. Returns `true` if a *new* instruction
     /// was issued (retries of reservation-failed transactions return
     /// `false`).
-    fn issue(
-        &mut self,
-        slot_idx: usize,
-        kernel: &KernelTrace,
-        now: Cycle,
-        noc_utilization: f64,
-    ) -> bool {
+    fn issue(&mut self, slot_idx: usize, now: Cycle, noc_utilization: f64) -> bool {
         let mut slot = self.slots[slot_idx]
             .take()
             .expect("scheduler picked a live slot");
+        let instrs = &self.kernel.warps()[slot.trace_idx].instrs;
+        let next_is_load = |next: usize| matches!(instrs.get(next), Some(Instr::Load { .. }));
 
-        if !slot.pending.is_empty() {
-            let next_is_load = matches!(
-                kernel.warps()[slot.trace_idx].instrs.get(slot.next),
-                Some(Instr::Load { .. })
-            );
+        if slot.pending > 0 {
+            let next_is_load = next_is_load(slot.next);
             self.process_txns(&mut slot, slot_idx, now, noc_utilization, next_is_load);
             self.slots[slot_idx] = Some(slot);
             return false;
         }
 
-        let trace = &kernel.warps()[slot.trace_idx];
-        match trace.instrs.get(slot.next) {
-            None => {
-                // Trace exhausted: retire the warp and free the slot.
-                return false;
-            }
-            Some(Instr::Compute { cycles }) => {
-                slot.next += 1;
+        let Some(instr) = instrs.get(slot.next) else {
+            // Trace exhausted: retire the warp and free the slot.
+            return false;
+        };
+        slot.next += 1;
+        let is_mem = match instr {
+            Instr::Compute { cycles } => {
                 slot.state = WarpState::Busy(now.plus(u64::from(*cycles).max(1)));
                 slot.busy_mem = false;
-                self.stats.instructions += 1;
-                self.emit(
-                    now,
-                    SimEvent::WarpIssue {
-                        sm: self.id,
-                        warp: WarpId(slot_idx as u32),
-                    },
-                );
+                false
             }
-            Some(Instr::Load { pc, addrs }) => {
-                slot.next += 1;
+            Instr::Load { pc, addrs } | Instr::Store { pc, addrs } => {
                 slot.cur_pc = *pc;
-                slot.cur_is_load = true;
+                slot.cur_is_load = instr.is_load();
                 slot.cur_coalesced = addrs.len() == 1;
-                slot.pending = addrs.iter().collect();
-                self.stats.instructions += 1;
-                self.emit(
-                    now,
-                    SimEvent::WarpIssue {
-                        sm: self.id,
-                        warp: WarpId(slot_idx as u32),
-                    },
-                );
-                let next_is_load = matches!(trace.instrs.get(slot.next), Some(Instr::Load { .. }));
-                self.process_txns(&mut slot, slot_idx, now, noc_utilization, next_is_load);
+                slot.pending = addrs.len() as u32;
+                true
             }
-            Some(Instr::Store { pc, addrs }) => {
-                slot.next += 1;
-                slot.cur_pc = *pc;
-                slot.cur_is_load = false;
-                slot.cur_coalesced = addrs.len() == 1;
-                slot.pending = addrs.iter().collect();
-                self.stats.instructions += 1;
-                self.emit(
-                    now,
-                    SimEvent::WarpIssue {
-                        sm: self.id,
-                        warp: WarpId(slot_idx as u32),
-                    },
-                );
-                self.process_txns(&mut slot, slot_idx, now, noc_utilization, false);
-            }
+        };
+        let next_is_load = next_is_load(slot.next);
+        self.stats.instructions += 1;
+        self.emit(
+            now,
+            SimEvent::WarpIssue {
+                sm: self.id,
+                warp: WarpId(slot_idx as u32),
+            },
+        );
+        if is_mem {
+            self.process_txns(&mut slot, slot_idx, now, noc_utilization, next_is_load);
         }
         self.slots[slot_idx] = Some(slot);
         true
     }
 
     /// Sends the warp's pending transactions to the L1, stopping at the
-    /// first reservation fail (in-order LSU).
+    /// first reservation fail (in-order LSU). `next_is_load` (whether
+    /// the instruction after this one is a load) matters for loads
+    /// only.
     fn process_txns(
         &mut self,
         slot: &mut WarpSlot,
@@ -452,14 +422,14 @@ impl Sm {
         noc_utilization: f64,
         next_is_load: bool,
     ) {
-        while let Some(&addr) = slot.pending.first() {
+        while let Some(&addr) = slot.pending_addrs(&self.kernel).first() {
             let line = addr.line(self.line_bytes);
             if slot.cur_is_load {
                 let outcome = self.l1.access_demand(line, WarpId(slot_idx as u32), now);
                 if outcome == AccessOutcome::ReservationFail {
                     break;
                 }
-                slot.pending.remove(0);
+                slot.pending -= 1;
                 self.stats.demand_loads += 1;
                 if matches!(outcome, AccessOutcome::Miss | AccessOutcome::HitReserved) {
                     slot.outstanding += 1;
@@ -480,11 +450,11 @@ impl Sm {
                 if !self.l1.access_store(line, now) {
                     break;
                 }
-                slot.pending.remove(0);
+                slot.pending -= 1;
                 self.stats.stores += 1;
             }
         }
-        if slot.pending.is_empty() {
+        if slot.pending == 0 {
             if slot.cur_is_load {
                 if next_is_load && slot.outstanding < self.max_outstanding_loads {
                     // Stall-on-use: keep issuing back-to-back loads;
@@ -576,15 +546,17 @@ impl Sm {
     /// Delivers a fill from the interconnect; wakes waiting warps and
     /// retires finished ones.
     pub fn deliver_fill(&mut self, line: crate::types::LineAddr, now: Cycle) {
-        let waiters = self.l1.fill(line, now);
-        for wid in waiters {
+        // The waiter list borrows the L1: wake the warps through the
+        // other fields.
+        for &wid in self.l1.fill(line, now) {
             let unstalled = self
                 .slots
                 .get_mut(wid.index())
                 .and_then(|s| s.as_mut())
                 .is_some_and(WarpSlot::complete_response);
             if unstalled {
-                self.emit(
+                push_event(
+                    &mut self.trace,
                     now,
                     SimEvent::WarpUnstall {
                         sm: self.id,
@@ -641,7 +613,7 @@ impl Sm {
                     WarpState::Waiting => WarpBlock::Waiting,
                 },
                 outstanding: s.outstanding,
-                pending_txns: s.pending.len(),
+                pending_txns: s.pending as usize,
             })
             .collect();
         SmCensus {
@@ -668,7 +640,7 @@ impl Sm {
             .slots
             .iter()
             .map(|s| match s {
-                Some(slot) => slot.save_state(),
+                Some(slot) => slot.save_state(&self.kernel),
                 None => Value::Null,
             })
             .collect();
@@ -717,7 +689,7 @@ impl Sm {
         for entry in slot_entries {
             slots.push(match entry {
                 Value::Null => None,
-                other => Some(WarpSlot::from_state(other)?),
+                other => Some(WarpSlot::from_state(other, &self.kernel)?),
             });
         }
         let sched_entries = snapshot::arr_field(v, "schedulers")?;
@@ -766,12 +738,12 @@ impl Sm {
 
     /// Frees retired warps (trace exhausted, nothing outstanding).
     /// Called each cycle by the GPU after fills are delivered.
-    pub fn retire_finished(&mut self, kernel: &KernelTrace) {
+    pub fn retire_finished(&mut self) {
         for slot_opt in &mut self.slots {
             let retire = match slot_opt {
                 Some(s) => {
-                    s.next >= kernel.warps()[s.trace_idx].instrs.len()
-                        && s.pending.is_empty()
+                    s.next >= self.kernel.warps()[s.trace_idx].instrs.len()
+                        && s.pending == 0
                         && s.outstanding == 0
                         && s.state == WarpState::Ready
                 }
@@ -781,5 +753,12 @@ impl Sm {
                 *slot_opt = None;
             }
         }
+    }
+}
+
+/// Buffers a pipeline event when tracing is enabled.
+fn push_event(trace: &mut Option<Vec<TraceEvent>>, cycle: Cycle, data: SimEvent) {
+    if let Some(buf) = trace.as_mut() {
+        buf.push(TraceEvent { cycle, data });
     }
 }

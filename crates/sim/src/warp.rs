@@ -7,6 +7,7 @@
 //! wall) the paper quantifies in Figs 3–5.
 
 use crate::json::Value;
+use crate::kernel::KernelTrace;
 use crate::snapshot::{self, SnapshotError};
 use crate::types::{Address, CtaId, Cycle, Pc};
 
@@ -14,7 +15,7 @@ use crate::types::{Address, CtaId, Cycle, Pc};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpState {
     /// Can issue this cycle (includes retrying reservation-failed
-    /// transactions still in `pending`).
+    /// transactions still `pending`).
     Ready,
     /// Executing compute (or absorbing L1 hit latency) until the cycle.
     Busy(Cycle),
@@ -36,8 +37,11 @@ pub struct WarpSlot {
     /// Current state.
     pub state: WarpState,
     /// Transactions of the current memory instruction not yet accepted
-    /// by the L1 (reservation-fail retry set).
-    pub pending: Vec<Address>,
+    /// by the L1 (reservation-fail retry set). A cursor from the end:
+    /// they are the last `pending` addresses of the instruction's
+    /// [`AddrList`](crate::AddrList), which the L1 accepts in order
+    /// (see [`WarpSlot::pending_addrs`]).
+    pub pending: u32,
     /// PC of the in-flight memory instruction.
     pub cur_pc: Pc,
     /// Whether the in-flight memory instruction is a load.
@@ -65,7 +69,7 @@ impl WarpSlot {
             launch_seq,
             next: 0,
             state: WarpState::Ready,
-            pending: Vec::new(),
+            pending: 0,
             cur_pc: Pc(0),
             cur_is_load: false,
             cur_coalesced: true,
@@ -94,9 +98,7 @@ impl WarpSlot {
     /// taxonomy): waiting for responses or retrying rejected
     /// transactions.
     pub fn memory_stalled(&self) -> bool {
-        self.state == WarpState::Waiting
-            || (self.state == WarpState::Ready && !self.pending.is_empty() && self.outstanding == 0)
-            || (self.state == WarpState::Ready && !self.pending.is_empty())
+        self.state == WarpState::Waiting || (self.state == WarpState::Ready && self.pending > 0)
     }
 
     /// Records a completed memory response; returns `true` when the
@@ -104,7 +106,7 @@ impl WarpSlot {
     pub fn complete_response(&mut self) -> bool {
         debug_assert!(self.outstanding > 0, "spurious response");
         self.outstanding -= 1;
-        if self.outstanding == 0 && self.state == WarpState::Waiting && self.pending.is_empty() {
+        if self.outstanding == 0 && self.state == WarpState::Waiting && self.pending == 0 {
             self.state = WarpState::Ready;
             true
         } else {
@@ -115,7 +117,7 @@ impl WarpSlot {
     /// Called when the current memory instruction's transactions are
     /// all accepted: block on responses or absorb the hit latency.
     pub fn settle_mem_instr(&mut self, now: Cycle, hit_latency: u32) {
-        debug_assert!(self.pending.is_empty());
+        debug_assert_eq!(self.pending, 0);
         if self.outstanding > 0 {
             self.state = WarpState::Waiting;
         } else {
@@ -124,8 +126,37 @@ impl WarpSlot {
         }
     }
 
-    /// Serializes the complete slot for a checkpoint.
-    pub fn save_state(&self) -> Value {
+    /// The pending transactions' addresses: the unaccepted suffix of
+    /// the current memory instruction, `instrs[next - 1]` of this
+    /// warp's trace in `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pending` does not fit that instruction — the slot
+    /// does not belong to `kernel`.
+    pub fn pending_addrs<'k>(&self, kernel: &'k KernelTrace) -> &'k [Address] {
+        self.pending_suffix(kernel)
+            .expect("pending transactions belong to the warp's current memory instruction")
+    }
+
+    /// [`WarpSlot::pending_addrs`], or `None` when `pending` does not
+    /// fit the current instruction (restore validation).
+    fn pending_suffix<'k>(&self, kernel: &'k KernelTrace) -> Option<&'k [Address]> {
+        if self.pending == 0 {
+            return Some(&[]);
+        }
+        let instr = kernel
+            .warps()
+            .get(self.trace_idx)?
+            .instrs
+            .get(self.next.checked_sub(1)?)?;
+        let addrs = instr.addrs()?.as_slice();
+        addrs.get(addrs.len().checked_sub(self.pending as usize)?..)
+    }
+
+    /// Serializes the complete slot for a checkpoint; `kernel` is the
+    /// trace the slot executes (the pending addresses are written out).
+    pub fn save_state(&self, kernel: &KernelTrace) -> Value {
         let state = match self.state {
             WarpState::Ready => Value::Null,
             WarpState::Busy(until) => Value::u64(until.0),
@@ -139,7 +170,12 @@ impl WarpSlot {
             ("state".into(), state),
             (
                 "pending".into(),
-                Value::Arr(self.pending.iter().map(|a| Value::u64(a.0)).collect()),
+                Value::Arr(
+                    self.pending_addrs(kernel)
+                        .iter()
+                        .map(|a| Value::u64(a.0))
+                        .collect(),
+                ),
             ),
             ("cur_pc".into(), Value::u64(u64::from(self.cur_pc.0))),
             ("cur_is_load".into(), Value::Bool(self.cur_is_load)),
@@ -156,8 +192,10 @@ impl WarpSlot {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field.
-    pub fn from_state(v: &Value) -> Result<WarpSlot, SnapshotError> {
+    /// [`SnapshotError::Malformed`] on a missing or malformed field, a
+    /// trace index outside `kernel`, or pending addresses that are not
+    /// a suffix of the current memory instruction's list.
+    pub fn from_state(v: &Value, kernel: &KernelTrace) -> Result<WarpSlot, SnapshotError> {
         let state = match snapshot::field(v, "state")? {
             Value::Null => WarpState::Ready,
             Value::Bool(true) => WarpState::Waiting,
@@ -172,19 +210,33 @@ impl WarpSlot {
             .map(|a| a.as_u64().map(Address))
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| SnapshotError::malformed("warp pending address"))?;
-        Ok(WarpSlot {
+        let slot = WarpSlot {
             cta: CtaId(snapshot::u32_field(v, "cta")?),
             trace_idx: snapshot::usize_field(v, "trace_idx")?,
             launch_seq: snapshot::u64_field(v, "launch_seq")?,
             next: snapshot::usize_field(v, "next")?,
             state,
-            pending,
+            pending: u32::try_from(pending.len())
+                .map_err(|_| SnapshotError::malformed("warp pending list too long"))?,
             cur_pc: Pc(snapshot::u32_field(v, "cur_pc")?),
             cur_is_load: snapshot::bool_field(v, "cur_is_load")?,
             cur_coalesced: snapshot::bool_field(v, "cur_coalesced")?,
             outstanding: snapshot::u32_field(v, "outstanding")?,
             busy_mem: snapshot::bool_field(v, "busy_mem")?,
-        })
+        };
+        if slot.trace_idx >= kernel.warps().len() {
+            return Err(SnapshotError::malformed(format!(
+                "warp trace index {} outside a kernel of {} warps",
+                slot.trace_idx,
+                kernel.warps().len()
+            )));
+        }
+        if slot.pending_suffix(kernel) != Some(&pending[..]) {
+            return Err(SnapshotError::malformed(
+                "warp pending addresses are not a suffix of its current memory instruction",
+            ));
+        }
+        Ok(slot)
     }
 }
 
@@ -232,7 +284,7 @@ mod tests {
         w.state = WarpState::Waiting;
         assert!(w.memory_stalled());
         let mut w = WarpSlot::new(CtaId(0), 0, 0);
-        w.pending.push(Address(4));
+        w.pending = 1;
         assert!(
             w.memory_stalled(),
             "retrying a reservation fail is a memory stall"
@@ -240,5 +292,41 @@ mod tests {
         let mut w = WarpSlot::new(CtaId(0), 0, 0);
         w.state = WarpState::Busy(Cycle(100));
         assert!(!w.memory_stalled(), "compute busy is not a memory stall");
+    }
+
+    #[test]
+    fn pending_is_a_suffix_of_the_current_instruction() {
+        use crate::kernel::{AddrList, Instr, WarpTrace};
+        let addrs = AddrList::from_vec(vec![Address(0), Address(128), Address(256)]);
+        let kernel = KernelTrace::new(
+            "k",
+            vec![WarpTrace::new(
+                CtaId(0),
+                vec![Instr::Load { pc: Pc(1), addrs }, Instr::compute(2)],
+            )],
+        );
+        let mut w = WarpSlot::new(CtaId(0), 0, 0);
+        w.next = 1;
+        w.pending = 2;
+        assert_eq!(w.pending_addrs(&kernel), [Address(128), Address(256)]);
+        let saved = w.save_state(&kernel);
+        assert!(saved.to_string().contains("\"pending\":[128,256]"));
+        let back = WarpSlot::from_state(&saved, &kernel).unwrap();
+        assert_eq!(back.save_state(&kernel), saved);
+
+        let text = saved.to_string();
+        for (what, bad) in [
+            ("not a suffix", text.replace("[128,256]", "[0,256]")),
+            ("too long", text.replace("[128,256]", "[0,0,128,256]")),
+            ("on a compute", text.replace("\"next\":1", "\"next\":2")),
+            ("no instruction", text.replace("\"next\":1", "\"next\":0")),
+            (
+                "no trace",
+                text.replace("\"trace_idx\":0", "\"trace_idx\":1"),
+            ),
+        ] {
+            let v = crate::json::parse(&bad).unwrap();
+            assert!(WarpSlot::from_state(&v, &kernel).is_err(), "{what}");
+        }
     }
 }

@@ -142,7 +142,8 @@ proptest! {
         for line in outstanding {
             let e = m.complete(LineAddr(line));
             prop_assert!(e.requests >= 1);
-            prop_assert!(e.waiters.len() as u32 <= merge);
+            prop_assert!(e.waiters <= merge);
+            prop_assert_eq!(m.completed_waiters().len(), e.waiters as usize);
         }
         prop_assert!(m.is_empty());
     }

@@ -16,6 +16,14 @@ cargo test --workspace -q
 echo "==> cargo test (optimized build: sandbox timing and checkpoint bytes)"
 cargo test --release -p snake-bench --test executor --test checkpoint -q
 
+echo "==> standard-size full-matrix digest (release repro, byte-identical reports)"
+# Every (benchmark, mechanism) job of the figure campaign at the
+# standard size must reproduce its committed cycles and the hash of
+# its exact report bytes (the quick-size pin runs in cargo test). A
+# deliberate behaviour change re-records the file by hand, with a
+# CHANGES.md line saying why.
+./target/release/repro --sweep --digest | diff -u tests/golden/sweep_digest.txt -
+
 echo "==> perfbench (builds the benchmark against the crates' public API, runs its tests)"
 # perfbench is a package of its own, outside the workspace: the steps
 # above never compile it, so a public-API change in crates/ could break
