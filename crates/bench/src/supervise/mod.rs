@@ -45,7 +45,7 @@ use manifest::{LoadedManifest, ManifestError, ManifestHeader, ManifestWriter};
 pub use executor::{CrashKind, CrashReport, ExecContext, ExecError, JobExecutor, SandboxLimits};
 pub use manifest::JobRecord;
 pub use progress::{Progress, ProgressSnapshot};
-pub use supervisor::{run_supervised, JobOutcome, SweepResult};
+pub use supervisor::{digest_line, run_supervised, JobOutcome, SweepResult};
 
 /// Exit code when the sweep finished but quarantined at least one job
 /// (healthy rows were still produced and rendered).

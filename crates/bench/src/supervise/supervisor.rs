@@ -255,13 +255,7 @@ impl SweepResult {
         let mut out = String::new();
         for (job, outcome) in &self.outcomes {
             if let JobOutcome::Completed { report, .. } = outcome {
-                let bytes = report.to_json().to_string();
-                out.push_str(&format!(
-                    "{} {} {:016x}\n",
-                    job.id(),
-                    report.cycles,
-                    snake_sim::snapshot::fnv1a64(bytes.as_bytes())
-                ));
+                out.push_str(&digest_line(&job.id(), report));
             }
         }
         out
@@ -299,6 +293,18 @@ struct Queue<'a> {
     /// for jobs a previous run suspended mid-simulation.
     pending: VecDeque<(usize, &'a JobSpec, Option<String>)>,
     started: usize,
+}
+
+/// One digest line, `BENCH/mech cycles fnv1a64(report JSON)` and a
+/// newline: the format of [`SweepResult::digest`] and of the committed
+/// full-matrix goldens under `tests/golden/`.
+pub fn digest_line(id: &str, report: &MechanismReport) -> String {
+    let bytes = report.to_json().to_string();
+    format!(
+        "{id} {} {:016x}\n",
+        report.cycles,
+        snake_sim::snapshot::fnv1a64(bytes.as_bytes())
+    )
 }
 
 /// Runs `jobs` through `runner` under the supervision policy.

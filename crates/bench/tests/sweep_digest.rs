@@ -6,7 +6,7 @@
 //! loaded and restored into a fresh device.
 
 use snake_bench::runner::JobRun;
-use snake_bench::supervise::{campaign, ExecContext, JobExecutor};
+use snake_bench::supervise::{campaign, digest_line, ExecContext, JobExecutor};
 use snake_bench::Harness;
 use snake_core::{MechanismReport, PrefetcherKind};
 use snake_sim::snapshot::{fnv1a64, Checkpoint};
@@ -27,13 +27,7 @@ fn digest() -> String {
         let JobRun::Finished(run) = run else {
             panic!("{}: expected a finished run, got {run:?}", job.id());
         };
-        let bytes = run.report.to_json().to_string();
-        out.push_str(&format!(
-            "{} {} {:016x}\n",
-            job.id(),
-            run.report.cycles,
-            fnv1a64(bytes.as_bytes())
-        ));
+        out.push_str(&digest_line(&job.id(), &run.report));
     }
     out
 }
@@ -94,12 +88,7 @@ fn quick_matrix_survives_a_checkpoint_at_a_seeded_cycle() {
             &h.energy,
             job.kind.has_hardware(),
         );
-        let bytes = report.to_json().to_string();
-        actual.push_str(&format!(
-            "{id} {} {:016x}\n",
-            report.cycles,
-            fnv1a64(bytes.as_bytes())
-        ));
+        actual.push_str(&digest_line(&id, &report));
     }
     std::fs::remove_dir_all(&dir).unwrap();
     check(&path, &expected, &actual);

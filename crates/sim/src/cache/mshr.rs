@@ -7,12 +7,18 @@
 //!
 //! Storage grows with the number of live misses, never with the
 //! configured capacity: entries sit densely in one `Vec`, each with a
-//! fixed block of `merge` waiter slots in a parallel `Vec`, and an
-//! open-addressed line index with a deterministic hash finds them.
+//! fixed block of `merge` waiter slots in a parallel `Vec`, and a line
+//! index finds them.
 //! Completing a miss moves the last entry into the freed slot. All
 //! three grow together, doubling, only when the number of live misses
 //! passes a power of two it never reached before; otherwise
-//! allocating, merging and completing misses touch no heap.
+//! allocating, merging and completing misses touch no heap. The index
+//! is a `HashMap` with a deterministic hash, reserved for twice the
+//! entries' capacity: at most half full, it reuses deleted buckets in
+//! place instead of growing.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::json::Value;
 use crate::obs::{SimEvent, TraceEvent};
@@ -68,87 +74,26 @@ pub enum MergeResult {
     Full,
 }
 
-/// Marks a free [`LineIndex`] slot.
-const EMPTY: u32 = u32::MAX;
+/// Fibonacci hashing of a line: one multiply by the 64-bit golden
+/// ratio, its high half folded into the low half so the table's bucket
+/// index (low bits) and tag (top bits) both depend on every line bit.
+/// Deterministic: no per-process seed.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
 
-/// Open-addressed map from line to entry index: linear probing over a
-/// power-of-two table kept at most half full, deletion by backward
-/// shift (no tombstones, so the table never needs rehashing between
-/// growths). Lines hash by one multiply with the 64-bit golden ratio
-/// (Fibonacci hashing), taking the top bits: deterministic, no
-/// per-process seed.
-#[derive(Debug, Clone, Default)]
-struct LineIndex {
-    /// Entry index per slot, or [`EMPTY`].
-    slots: Vec<u32>,
-}
-
-impl LineIndex {
-    fn home(&self, line: LineAddr) -> usize {
-        let bits = self.slots.len().trailing_zeros();
-        (line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
-    }
-
-    /// The slot holding `line`, if any.
-    fn find(&self, line: LineAddr, entries: &[MshrEntry]) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut pos = self.home(line);
-        loop {
-            match self.slots[pos] {
-                EMPTY => return None,
-                i if entries[i as usize].line == line => return Some(pos),
-                _ => pos = (pos + 1) & mask,
-            }
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
         }
     }
 
-    fn insert(&mut self, line: LineAddr, index: u32) {
-        let mask = self.slots.len() - 1;
-        let mut pos = self.home(line);
-        while self.slots[pos] != EMPTY {
-            pos = (pos + 1) & mask;
-        }
-        self.slots[pos] = index;
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
-    /// Empties slot `pos`, shifting later members of its probe run
-    /// back so every line stays reachable from its home slot.
-    fn remove(&mut self, mut pos: usize, entries: &[MshrEntry]) {
-        let mask = self.slots.len() - 1;
-        let mut next = pos;
-        loop {
-            self.slots[pos] = EMPTY;
-            loop {
-                next = (next + 1) & mask;
-                let i = self.slots[next];
-                if i == EMPTY {
-                    return;
-                }
-                // `next` may fill the hole unless its home lies
-                // cyclically in (pos, next].
-                let home = self.home(entries[i as usize].line);
-                if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(pos) & mask) {
-                    self.slots[pos] = i;
-                    pos = next;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Re-indexes `entries` into a table sized for `capacity` of them.
-    fn rebuild(&mut self, capacity: usize, entries: &[MshrEntry]) {
-        if capacity == 0 {
-            self.slots = Vec::new();
-            return;
-        }
-        self.slots = vec![EMPTY; (2 * capacity).next_power_of_two()];
-        for (i, e) in entries.iter().enumerate() {
-            self.insert(e.line, i as u32);
-        }
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -161,8 +106,9 @@ pub struct MshrFile {
     /// entry `i`'s waiters are the first `entries[i].waiters` slots of
     /// block `i`.
     waiters: Vec<WarpId>,
-    /// Line → index into `entries`, sized by `entries.capacity()`.
-    index: LineIndex,
+    /// Line → index into `entries`, reserved for twice
+    /// `entries.capacity()` lines.
+    index: HashMap<LineAddr, u32, BuildHasherDefault<LineHasher>>,
     /// Waiters of the most recently completed entry.
     completed: Vec<WarpId>,
     capacity: usize,
@@ -186,7 +132,7 @@ impl MshrFile {
         MshrFile {
             entries: Vec::new(),
             waiters: Vec::new(),
-            index: LineIndex::default(),
+            index: HashMap::default(),
             completed: Vec::new(),
             capacity: entries as usize,
             merge_capacity: merge as usize,
@@ -224,8 +170,7 @@ impl MshrFile {
 
     /// Index into `entries` of `line`'s entry.
     fn slot(&self, line: LineAddr) -> Option<usize> {
-        let pos = self.index.find(line, &self.entries)?;
-        Some(self.index.slots[pos] as usize)
+        self.index.get(&line).map(|&i| i as usize)
     }
 
     /// Looks up an outstanding miss.
@@ -279,7 +224,8 @@ impl MshrFile {
             self.entries.reserve(1);
             self.waiters
                 .reserve_exact(self.entries.capacity() * m - self.waiters.len());
-            self.index.rebuild(self.entries.capacity(), &self.entries);
+            self.index
+                .reserve(2 * self.entries.capacity() - self.index.len());
         }
         self.index.insert(line, i as u32);
         self.entries.push(MshrEntry {
@@ -336,9 +282,7 @@ impl MshrFile {
     /// a fill twice (or a recovered fill after the original straggles
     /// in); the second arrival finds no entry and must not panic.
     pub fn try_complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
-        let pos = self.index.find(line, &self.entries)?;
-        let i = self.index.slots[pos] as usize;
-        self.index.remove(pos, &self.entries);
+        let i = self.index.remove(&line)? as usize;
         let m = self.merge_capacity;
         let start = i * m;
         self.completed.clear();
@@ -350,9 +294,9 @@ impl MshrFile {
             // move its waiter block along.
             let moved = self
                 .index
-                .find(self.entries[last].line, &self.entries)
+                .get_mut(&self.entries[last].line)
                 .expect("every entry is indexed");
-            self.index.slots[moved] = i as u32;
+            *moved = i as u32;
             self.waiters.copy_within(last * m..(last + 1) * m, start);
         }
         self.waiters.truncate(last * m);
@@ -437,8 +381,9 @@ impl MshrFile {
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`] on a mistyped entry, more entries
-    /// than this file's capacity, more waiters than its merge
-    /// capacity, or entries out of ascending line order.
+    /// than this file's capacity, more requests than its merge
+    /// capacity, more waiters than requests, or entries out of
+    /// ascending line order.
     ///
     /// [`save_state`]: MshrFile::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
@@ -460,10 +405,18 @@ impl MshrFile {
                 1 => MissOrigin::Prefetch,
                 _ => return Err(SnapshotError::malformed("bad MSHR origin")),
             };
-            let listed = snapshot::arr_field(e, "waiters")?;
-            if listed.len() > m {
+            let requests = snapshot::u32_field(e, "requests")?;
+            if requests as usize > m {
                 return Err(SnapshotError::malformed(format!(
-                    "MSHR entry has {} waiters, merge capacity is {m}",
+                    "MSHR entry has {requests} requests, merge capacity is {m}"
+                )));
+            }
+            // Every waiter is one of the requests, so a block of `m`
+            // slots always has room for the next merge.
+            let listed = snapshot::arr_field(e, "waiters")?;
+            if listed.len() > requests as usize {
+                return Err(SnapshotError::malformed(format!(
+                    "MSHR entry has {} waiters but {requests} requests",
                     listed.len()
                 )));
             }
@@ -485,13 +438,18 @@ impl MshrFile {
                 origin,
                 waiters: listed.len() as u32,
                 demand_merged: snapshot::bool_field(e, "demand_merged")?,
-                requests: snapshot::u32_field(e, "requests")?,
+                requests,
                 alloc_cycle: Cycle(snapshot::u64_field(e, "alloc_cycle")?),
                 last_issue: Cycle(snapshot::u64_field(e, "last_issue")?),
                 retries: snapshot::u32_field(e, "retries")?,
             });
         }
-        self.index.rebuild(entries.capacity(), &entries);
+        let mut index =
+            HashMap::with_capacity_and_hasher(2 * entries.capacity(), Default::default());
+        for (i, e) in entries.iter().enumerate() {
+            index.insert(e.line, i as u32);
+        }
+        self.index = index;
         self.entries = entries;
         self.waiters = waiters;
         Ok(())
@@ -644,22 +602,42 @@ mod tests {
     fn storage_grows_with_live_misses_not_capacity() {
         let mut m = MshrFile::new(512, 8);
         assert_eq!(m.entries.capacity() + m.waiters.capacity(), 0);
-        assert!(m.index.slots.is_empty());
+        assert_eq!(m.index.capacity(), 0);
         for i in 0..5 {
             m.allocate(LineAddr(i), MissOrigin::Demand, Some(WarpId(0)), Cycle(0));
         }
         assert!(m.entries.capacity() < 16);
         assert_eq!(m.waiters.capacity(), m.entries.capacity() * 8);
+        // Churn through many distinct lines without passing that peak:
+        // no storage grows, the index included.
+        let caps = (
+            m.entries.capacity(),
+            m.waiters.capacity(),
+            m.index.capacity(),
+        );
+        for i in 5..100_000 {
+            m.complete(LineAddr(i - 5));
+            m.allocate(LineAddr(i), MissOrigin::Demand, Some(WarpId(0)), Cycle(0));
+        }
+        assert_eq!(
+            (
+                m.entries.capacity(),
+                m.waiters.capacity(),
+                m.index.capacity()
+            ),
+            caps
+        );
     }
 
     #[test]
     fn restore_rejects_unordered_or_overfull_entries() {
-        let entry = |line: u64, waiters: &str| {
+        let entry_with = |line: u64, waiters: &str, requests: u32| {
             format!(
                 "{{\"line\":{line},\"origin\":0,\"waiters\":[{waiters}],\"demand_merged\":false,\
-                 \"requests\":1,\"alloc_cycle\":0,\"last_issue\":0,\"retries\":0}}"
+                 \"requests\":{requests},\"alloc_cycle\":0,\"last_issue\":0,\"retries\":0}}"
             )
         };
+        let entry = |line: u64, waiters: &str| entry_with(line, waiters, 1);
         let restore = |entries: &[String]| {
             let doc = format!("{{\"entries\":[{}]}}", entries.join(","));
             MshrFile::new(4, 2).restore_state(&crate::json::parse(&doc).unwrap())
@@ -676,6 +654,15 @@ mod tests {
         assert!(
             restore(&[entry(1, "0,5,6")]).is_err(),
             "over merge capacity"
+        );
+        assert!(restore(&[entry_with(1, "0,5", 2)]).is_ok());
+        assert!(
+            restore(&[entry_with(1, "0,5", 1), entry(2, "1")]).is_err(),
+            "more waiters than requests"
+        );
+        assert!(
+            restore(&[entry_with(1, "0", 3)]).is_err(),
+            "more requests than merge capacity"
         );
     }
 }

@@ -5,9 +5,10 @@
 #
 # OLD and NEW are any git revisions. Each is exported with `git archive`
 # into a scratch directory (a plain copy: nothing is registered in the
-# repository) and its perfbench is built there. Then every workload runs
-# in PAIRS pairs, alternating which side runs first; both runs of pair i
-# use `--seed i`. The summary gives, per workload and metric, both
+# repository) and its perfbench is built there. Then every workload that
+# NEW's BENCHMARK.json lists runs in 10 pairs, alternating which side
+# runs first; both runs of pair i use `--seed i` and perfbench's default
+# run length. The summary gives, per workload and metric, both
 # sides' medians and quartiles, how many pairs NEW won (ties count for
 # neither side), and whether the gain rule holds: NEW wins at least
 # nine tenths of the pairs and the medians differ by more than OLD's
@@ -15,12 +16,9 @@
 # digests matched in every pair.
 #
 # Environment:
-#   PAIRS        pairs per workload (default 10)
-#   WORKLOADS    workloads to run (default "matrix v100 suspend-resume")
-#   RUN_SECONDS  perfbench --seconds, the same on both sides (default 20)
-#   AB_DIR       scratch directory (default: a fresh temporary directory,
-#                deleted on exit; a given AB_DIR is kept, and its raw
-#                results are in AB_DIR/results.txt)
+#   AB_DIR  scratch directory (default: a fresh temporary directory,
+#           deleted on exit; a given AB_DIR is kept, and its raw results
+#           are in AB_DIR/results.txt)
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -29,9 +27,7 @@ if [ "$#" -ne 2 ]; then
 fi
 OLD_REV=$1
 NEW_REV=$2
-PAIRS=${PAIRS:-10}
-read -r -a WORKLOAD_LIST <<< "${WORKLOADS:-matrix v100 suspend-resume}"
-RUN_SECONDS=${RUN_SECONDS:-20}
+PAIRS=10
 REPO=$(cd "$(dirname "$0")/.." && pwd)
 
 if [ -n "${AB_DIR:-}" ]; then
@@ -60,7 +56,7 @@ run() {
     local side=$1 workload=$2 pair=$3 out rc=0
     out="$AB_DIR/$side-$workload-$pair.txt"
     (cd "$AB_DIR/$side" && "$AB_DIR/$side/target/release/perfbench" \
-        --workload "$workload" --seed "$pair" --seconds "$RUN_SECONDS" --trace 0) \
+        --workload "$workload" --seed "$pair" --trace 0) \
         > "$out" 2>&1 || rc=$?
     awk -v w="$workload" -v s="$side" -v p="$pair" -v rc="$rc" '
         /^report digest/ { print w, s, p, "digest", $NF }
@@ -72,6 +68,24 @@ run() {
 
 export_side old "$OLD_REV"
 export_side new "$NEW_REV"
+
+# The workload names, and which way each metric improves, from NEW's
+# BENCHMARK.json (one key per line, as it is written).
+awk -F'"' '
+    /"workloads":/ { list = 1 }
+    list && /^ *\],?$/ { list = 0 }
+    list && /"name":/ { print $4 }
+' "$AB_DIR/new/BENCHMARK.json" > "$AB_DIR/workloads.txt"
+DIRECTIONS="$AB_DIR/directions.txt"
+awk -F'"' '
+    /"name":/ { name = $4 }
+    /"better":/ { print name, $4 }
+' "$AB_DIR/new/BENCHMARK.json" > "$DIRECTIONS"
+mapfile -t WORKLOAD_LIST < "$AB_DIR/workloads.txt"
+if [ "${#WORKLOAD_LIST[@]}" -eq 0 ]; then
+    echo "no workloads in $NEW_REV's BENCHMARK.json" >&2
+    exit 1
+fi
 
 for workload in "${WORKLOAD_LIST[@]}"; do
     for pair in $(seq 1 "$PAIRS"); do
@@ -86,14 +100,7 @@ for workload in "${WORKLOAD_LIST[@]}"; do
     done
 done
 
-# Which way each metric improves, from NEW's BENCHMARK.json.
-DIRECTIONS="$AB_DIR/directions.txt"
-awk -F'"' '
-    /"name":/ { name = $4 }
-    /"better":/ { print name, $4 }
-' "$AB_DIR/new/BENCHMARK.json" > "$DIRECTIONS"
-
-echo "A/B: old $OLD_REV, new $NEW_REV; $PAIRS pairs per workload, --seconds $RUN_SECONDS"
+echo "A/B: old $OLD_REV, new $NEW_REV; $PAIRS pairs per workload"
 awk '
     function quantile(v, n, q,    i, j, t, pos, lo) {
         for (i = 2; i <= n; i++) {
